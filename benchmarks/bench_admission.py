@@ -2,96 +2,92 @@
 
 Section 2 argues the proxy-based approach "scal[es] properly with the
 number of clients".  This bench admits identical clients one after another
-onto the Figure 6 infrastructure, each new session planned against the
-bandwidth the previous ones left (the reservation ledger), and charts the
-satisfaction of the k-th admission until the infrastructure saturates —
-then tears one session down and shows capacity returning.
+onto the Figure 6 infrastructure through the simulator's shared world
+(:class:`~repro.sim.world.SimWorld`): each new session is planned against
+the bandwidth the previous ones left (the reservation ledger), admitted
+only if its satisfaction clears the floor, and its chain reserved hop by
+hop.  It charts the satisfaction of the k-th admission until the
+infrastructure saturates — then tears one session down and shows capacity
+returning.
 """
 
 from __future__ import annotations
 
-from repro.runtime.admission import AdmissionController
+from repro.planner import synthetic_requests
+from repro.sim import SimWorld
 from repro.workloads.paper import figure6_scenario
 
 from conftest import format_table
 
-
-def fresh_controller():
-    scenario = figure6_scenario()
-    controller = AdmissionController(
-        registry=scenario.registry,
-        parameters=scenario.parameters,
-        catalog=scenario.catalog,
-        placement=scenario.placement,
-        min_satisfaction=0.10,
-    )
-    return scenario, controller
+#: Operator's admission floor: arrivals planned below it are rejected.
+FLOOR = 0.10
 
 
-def admit_once(scenario, controller):
-    return controller.admit(
-        content=scenario.content,
-        device=scenario.device,
-        user=scenario.user,
-        sender_node=scenario.sender_node,
-        receiver_node=scenario.receiver_node,
-    )
+def fresh_world():
+    world = SimWorld(figure6_scenario())
+    (request,) = synthetic_requests(world.scenario, 1, 1)
+    return world, request
+
+
+def admit_once(world, request):
+    """Plan, apply the floor, reserve: ``(plan, leases)`` or ``None``."""
+    plan = world.plan(request)
+    if plan is None or plan.result.satisfaction < FLOOR:
+        return None
+    leases = world.reserve_plan(plan, request)
+    if leases is None:
+        return None
+    return plan, leases
 
 
 def test_admission_until_saturation(benchmark, save_artifact):
     def one_admission_cycle():
-        scenario, controller = fresh_controller()
-        session = admit_once(scenario, controller)
-        controller.teardown(session.session_id)
-        return session
+        world, request = fresh_world()
+        plan, leases = admit_once(world, request)
+        world.release(leases)
+        return plan
 
     benchmark(one_admission_cycle)
 
-    scenario, controller = fresh_controller()
+    def row(label, session):
+        if session is None:
+            return (label, "REJECTED", "-", "-")
+        result = session[0].result
+        return (
+            label,
+            ",".join(result.path),
+            f"{result.delivered_frame_rate:.2f}",
+            f"{result.satisfaction:.3f}",
+        )
+
+    world, request = fresh_world()
     rows = []
     admitted = []
-    k = 0
-    while True:
-        k += 1
-        session = admit_once(scenario, controller)
+    # The upper bound is a safety net; the infrastructure saturates well
+    # before it.
+    for k in range(1, 42):
+        session = admit_once(world, request)
+        rows.append(row(k, session))
         if session is None:
-            rows.append((k, "REJECTED", "-", "-"))
             break
         admitted.append(session)
-        rows.append(
-            (
-                k,
-                ",".join(session.result.path),
-                f"{session.result.delivered_frame_rate:.2f}",
-                f"{session.satisfaction:.3f}",
-            )
-        )
-        if k > 40:  # safety net; the infrastructure saturates well before
-            break
 
     # Tear down the first (best) session and admit once more.
-    controller.teardown(admitted[0].session_id)
-    revived = admit_once(scenario, controller)
-    rows.append(
-        (
-            "after teardown",
-            ",".join(revived.result.path) if revived else "REJECTED",
-            f"{revived.result.delivered_frame_rate:.2f}" if revived else "-",
-            f"{revived.satisfaction:.3f}" if revived else "-",
-        )
-    )
+    world.release(admitted[0][1])
+    revived = admit_once(world, request)
+    rows.append(row("after teardown", revived))
 
     save_artifact(
         "admission.txt",
         "E16 — successive admissions on the Figure 6 infrastructure\n"
-        "(identical clients; floor S >= 0.10)\n\n"
+        f"(identical clients; floor S >= {FLOOR:.2f})\n\n"
         + format_table(["admission", "chain", "fps", "satisfaction"], rows),
     )
 
-    satisfactions = [s.satisfaction for s in admitted]
+    satisfactions = [plan.result.satisfaction for plan, _ in admitted]
     # Shape: capacity is finite, early sessions fare best, teardown gives
     # capacity back.
     assert 2 <= len(admitted) <= 40
     assert satisfactions == sorted(satisfactions, reverse=True)
     assert revived is not None
-    assert revived.satisfaction >= satisfactions[-1] - 1e-9
+    assert revived[0].result.satisfaction >= satisfactions[-1] - 1e-9

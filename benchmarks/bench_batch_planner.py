@@ -1,4 +1,4 @@
-"""E17 — extension: plan-cache + batch-planner throughput.
+"""E24 — extension: plan-cache + batch-planner throughput.
 
 One proxy, 1000 arriving sessions drawn from 32 device classes — the
 workload the plan cache exists for.  The bench times the cached concurrent
@@ -69,7 +69,7 @@ def test_batch_planner_throughput(benchmark, save_artifact):
     ]
     save_artifact(
         "batch_planner.txt",
-        f"E17 — plan-cache batch planner ({N_SESSIONS} sessions, "
+        f"E24 — plan-cache batch planner ({N_SESSIONS} sessions, "
         f"{N_DISTINCT} device classes, {WORKERS} workers)\n\n"
         + format_table(
             ["mode", "time (ms)", "plans/s", "cache hits", "speedup"], rows

@@ -1,4 +1,4 @@
-"""E18 — selector hot path at scale: heap settle loop vs the seed selector.
+"""E25 — selector hot path at scale: heap settle loop vs the seed selector.
 
 Extends the E8 sweep past the paper's 200-service demo scale (500 / 1000 /
 2000 services) and times the production :class:`QoSPathSelector` — lazy
@@ -118,7 +118,7 @@ def test_selector_hotpath_speedup(benchmark, save_artifact):
 
     save_artifact(
         "selector_hotpath.txt",
-        "E18 — selector hot path vs seed selector "
+        "E25 — selector hot path vs seed selector "
         f"(best of {REPEATS}, bit-identical results asserted)\n\n"
         + format_table(
             [

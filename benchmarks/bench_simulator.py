@@ -1,4 +1,4 @@
-"""E18 — extension: discrete-event simulator throughput + determinism.
+"""E26 — extension: discrete-event simulator throughput + determinism.
 
 A thousand sessions arrive over ten virtual minutes while the backbone
 services crash in a wave, the primary route degrades, and a flash crowd
@@ -98,7 +98,7 @@ def test_simulator_throughput_and_determinism(benchmark, save_artifact):
     ]
     save_artifact(
         "simulator.txt",
-        f"E18 — discrete-event simulator ({total} sessions, fault storm, "
+        f"E26 — discrete-event simulator ({total} sessions, fault storm, "
         f"seed {SEED})\n\n" + format_table(["metric", "value"], rows),
     )
 

@@ -3,75 +3,72 @@
 
 The paper plans a chain against a bandwidth snapshot; real networks
 fluctuate (Section 3's motivation for the network profile).  This example
-streams the Figure 6 scenario while the winning chain's host (n7, running
-T7) collapses mid-session, and shows the adaptive session detecting the
-drop, re-running selection against the degraded topology, and switching to
-the next-best chain — versus a stubborn session that keeps pushing frames
-at a dead proxy.
+simulates one viewer of the Figure 6 scenario while the winning chain's
+host (n7, running T7) collapses mid-session, and shows the session
+detecting the drop, re-running selection against the degraded topology,
+and switching to the next-best chain — versus a stubborn session that
+keeps pushing frames at a dead proxy.
 
 Run:
     python examples/adaptive_streaming.py
 """
 
 from repro import figure6_scenario
-from repro.network.bandwidth import FluctuationModel
-from repro.network.topology import Link
-from repro.runtime.replanning import AdaptiveSession
+from repro.sim import (
+    LinkDegradation,
+    SimulationConfig,
+    SimulationRun,
+    UniformArrivals,
+)
 
 
-class HostCollapse(FluctuationModel):
-    """Every link touching one host drops to 5% capacity at ``at_s``."""
-
-    def __init__(self, host: str, at_s: float) -> None:
-        self.host = host
-        self.at_s = at_s
-
-    def factor(self, link: Link, time_s: float) -> float:
-        if time_s >= self.at_s and self.host in link.endpoints():
-            return 0.05
-        return 1.0
+def stream(replan_threshold: float):
+    """Simulate one 30 s session; host n7 collapses to 5% at t=10 s."""
+    scenario = figure6_scenario()
+    collapse = tuple(
+        LinkDegradation(link.a, link.b, start_s=10.0, duration_s=30.0,
+                        factor=0.05)
+        for link in scenario.topology.links()
+        if "n7" in link.endpoints()
+    )
+    run = SimulationRun(
+        SimulationConfig(
+            scenario=scenario,
+            sessions=1,
+            device_classes=1,
+            arrivals=UniformArrivals(over_s=0.0),
+            session_duration_s=30.0,
+            duration_jitter=0.0,
+            segment_s=1.0,
+            replan_threshold=replan_threshold,
+            abandon_after_stalls=0,
+            faults=collapse,
+            horizon_s=30.0,
+        )
+    )
+    (outcome,) = run.execute().outcomes
+    return outcome, run.sim.trace
 
 
 def main() -> None:
-    scenario = figure6_scenario()
-    collapse = HostCollapse(host="n7", at_s=10.0)
-    duration = 30.0
-
     print("Streaming the Figure 6 plan for 30 s; host n7 (running T7) "
           "collapses at t=10 s.\n")
 
-    adaptive = AdaptiveSession(
-        scenario, collapse, check_interval_s=1.0, replan_threshold=0.9
-    ).run(duration_s=duration)
-
+    adaptive, timeline = stream(replan_threshold=0.9)
     print("adaptive session timeline:")
-    for event in adaptive.events:
+    for event in timeline:
         print(f"  {event}")
 
-    print("\nsegments:")
-    for segment in adaptive.segments:
-        print(
-            f"  {segment.start_s:5.1f}s - {segment.end_s:5.1f}s  "
-            f"{','.join(segment.path):<22} "
-            f"planned S={segment.planned_satisfaction:.3f}  "
-            f"observed S={segment.observed_satisfaction:.3f}"
-        )
-
-    stubborn = AdaptiveSession(
-        scenario, collapse, check_interval_s=1.0, replan_threshold=0.01
-    ).run(duration_s=duration)
+    stubborn, _ = stream(replan_threshold=0.01)
 
     print()
     print(f"adaptive session:  avg observed satisfaction "
-          f"{adaptive.average_observed_satisfaction():.3f} "
+          f"{adaptive.mean_satisfaction:.3f} "
           f"({adaptive.replans} replan)")
     print(f"stubborn session:  avg observed satisfaction "
-          f"{stubborn.average_observed_satisfaction():.3f} "
+          f"{stubborn.mean_satisfaction:.3f} "
           f"(never replans)")
-    gain = (
-        adaptive.average_observed_satisfaction()
-        - stubborn.average_observed_satisfaction()
-    )
+    gain = adaptive.mean_satisfaction - stubborn.mean_satisfaction
     print(f"\nre-planning recovered {gain:.3f} satisfaction — the "
           f"composition framework's resilience argument in action.")
 

@@ -84,8 +84,10 @@ def cmd_figure6(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def cmd_synthetic(args: argparse.Namespace, out) -> int:
-    scenario = generate_scenario(
+def _synthetic_world(args: argparse.Namespace) -> Scenario:
+    """The synthetic scenario named by the ``--seed/--services/--formats/
+    --nodes`` flags (see :func:`_add_synthetic_flags`)."""
+    return generate_scenario(
         SyntheticConfig(
             seed=args.seed,
             n_services=args.services,
@@ -93,6 +95,10 @@ def cmd_synthetic(args: argparse.Namespace, out) -> int:
             n_nodes=args.nodes,
         )
     )
+
+
+def cmd_synthetic(args: argparse.Namespace, out) -> int:
+    scenario = _synthetic_world(args)
     print(scenario.description, file=out)
     result = scenario.select()
     if not result.success:
@@ -171,14 +177,7 @@ def cmd_plan_batch(args: argparse.Namespace, out) -> int:
     from repro.planner import BatchPlanner, PlanCache, synthetic_requests
     from repro.runtime.metrics import PlannerReport
 
-    scenario = generate_scenario(
-        SyntheticConfig(
-            seed=args.seed,
-            n_services=args.services,
-            n_formats=args.formats,
-            n_nodes=args.nodes,
-        )
-    )
+    scenario = _synthetic_world(args)
     cache = PlanCache(max_entries=args.cache_size)
     planner = BatchPlanner.for_scenario(
         scenario, cache=cache, max_workers=args.workers
@@ -226,14 +225,7 @@ def cmd_plan_group(args: argparse.Namespace, out) -> int:
     from repro.group import GroupPlanner, GroupReceiver, GroupRequest
     from repro.planner import device_variants
 
-    scenario = generate_scenario(
-        SyntheticConfig(
-            seed=args.seed,
-            n_services=args.services,
-            n_formats=args.formats,
-            n_nodes=args.nodes,
-        )
-    )
+    scenario = _synthetic_world(args)
     if args.sessions < args.classes:
         print("error: --sessions must be >= --classes", file=out)
         return 2
@@ -352,14 +344,7 @@ def _serving_scenario(args: argparse.Namespace, out) -> Optional[Scenario]:
     """
     if args.scenario:
         return _load_scenario_checked(args.scenario, out)
-    return generate_scenario(
-        SyntheticConfig(
-            seed=args.seed,
-            n_services=args.services,
-            n_formats=args.formats,
-            n_nodes=args.nodes,
-        )
-    )
+    return _synthetic_world(args)
 
 
 def cmd_serve(args: argparse.Namespace, out) -> int:
@@ -559,7 +544,17 @@ def cmd_lint(args: argparse.Namespace, out) -> int:
     return 1 if has_errors else 0
 
 
+def _add_synthetic_flags(sub: argparse.ArgumentParser) -> None:
+    """The synthetic-world flags :func:`_synthetic_world` reads."""
+    sub.add_argument("--seed", type=int, default=7)
+    sub.add_argument("--services", type=int, default=12)
+    sub.add_argument("--formats", type=int, default=8)
+    sub.add_argument("--nodes", type=int, default=8)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from repro.sim.scenarios import scenario_names
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="QoS-based service composition for content adaptation "
@@ -622,10 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
         "plan-batch",
         help="plan a synthetic session batch through the plan cache",
     )
-    plan_batch.add_argument("--seed", type=int, default=7)
-    plan_batch.add_argument("--services", type=int, default=12)
-    plan_batch.add_argument("--formats", type=int, default=8)
-    plan_batch.add_argument("--nodes", type=int, default=8)
+    _add_synthetic_flags(plan_batch)
     plan_batch.add_argument(
         "--sessions", type=int, default=200, help="sessions in the batch"
     )
@@ -649,10 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
         "plan-group",
         help="plan one shared adaptation tree for a receiver-class set",
     )
-    plan_group.add_argument("--seed", type=int, default=7)
-    plan_group.add_argument("--services", type=int, default=12)
-    plan_group.add_argument("--formats", type=int, default=8)
-    plan_group.add_argument("--nodes", type=int, default=8)
+    _add_synthetic_flags(plan_group)
     plan_group.add_argument(
         "--sessions", type=int, default=200,
         help="live sessions spread across the classes",
@@ -675,8 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--scenario",
         default="steady",
-        help="named campaign: steady, flash-crowd, failover-storm, "
-             "link-churn, gray-failure, live-event",
+        choices=scenario_names(),
+        help="named campaign (default: steady)",
     )
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument(
@@ -716,10 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--scenario", default=None, metavar="PATH",
             help="serve/load a saved scenario JSON instead of a synthetic one",
         )
-        sub.add_argument("--seed", type=int, default=7)
-        sub.add_argument("--services", type=int, default=12)
-        sub.add_argument("--formats", type=int, default=8)
-        sub.add_argument("--nodes", type=int, default=8)
+        _add_synthetic_flags(sub)
 
     serve = commands.add_parser(
         "serve",

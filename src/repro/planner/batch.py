@@ -13,10 +13,10 @@ pairs the two:
   in the returned plans.
 
 Planning here is read-only with respect to the infrastructure — admission
-(reserving bandwidth) stays with
-:class:`~repro.runtime.admission.AdmissionController`, which bumps the
-ledger generation and thereby invalidates every cached plan that predates
-the reservation.
+(reserving bandwidth) stays with the caller, e.g.
+:meth:`repro.sim.world.SimWorld.reserve_plan`.  Every reservation bumps
+the ledger generation and thereby invalidates every cached plan that
+predates it.
 """
 
 from __future__ import annotations

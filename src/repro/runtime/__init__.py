@@ -13,6 +13,10 @@ delivery:
   :class:`~repro.runtime.metrics.DeliveryReport`;
 - :class:`~repro.runtime.events.EventLog` — ordered, timestamped record of
   what happened, for debugging and assertions.
+
+Many sessions sharing one infrastructure — admission against reserved
+bandwidth, mid-session re-planning under faults — live in
+:mod:`repro.sim`, which builds on these pieces.
 """
 
 from repro.runtime.events import Event, EventLog

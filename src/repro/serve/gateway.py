@@ -31,7 +31,7 @@ import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import (
     GatewayError,
@@ -228,7 +228,7 @@ class PlanningGateway:
         self._drain_requested: Optional[asyncio.Event] = None
         # Planning threads abandoned by a deadline timeout keep running
         # (a thread cannot be cancelled); this counts every job submitted
-        # but not yet finished so _plan_one can refuse to queue behind
+        # but not yet finished so _on_planner can refuse to queue behind
         # abandoned work.  Incremented on the event loop, decremented in
         # the planning thread — hence the lock.
         self._executor_lock = threading.Lock()
@@ -751,9 +751,12 @@ class PlanningGateway:
     ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
         route = (request.method, request.path)
         if route == ("POST", "/plan"):
-            return await self._handle_plan(request)
+            return await self._admit_plan(request, decode_plan_request)
         if route == ("POST", "/plan-group"):
-            return await self._handle_plan_group(request)
+            # One shared tree for a receiver-class set.  Admission is the
+            # same as /plan; only the decoder and the planning branch in
+            # _plan_one differ, keyed on the envelope type.
+            return await self._admit_plan(request, decode_group_plan_request)
         if route == ("POST", "/admin/reload"):
             return await self._handle_reload(request)
         if route == ("POST", "/report"):
@@ -842,22 +845,6 @@ class PlanningGateway:
             self._metrics.bump("invalid")
             return 400, error_payload("invalid", str(exc)), {}
         return 200, summary, {}
-
-    async def _handle_plan(
-        self, request: HttpRequest
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        return await self._admit_plan(request, decode_plan_request)
-
-    async def _handle_plan_group(
-        self, request: HttpRequest
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        """``POST /plan-group``: one shared tree for a receiver-class set.
-
-        Admission is identical to ``/plan`` (same limiter, same deadline
-        queue, same sheds); only the decoder and the planning branch in
-        :meth:`_plan_one` differ, keyed on the envelope type.
-        """
-        return await self._admit_plan(request, decode_group_plan_request)
 
     async def _admit_plan(
         self, request: HttpRequest, decode: Any
@@ -978,6 +965,12 @@ class PlanningGateway:
                     item, 503, error_payload("draining", "worker cancelled")
                 )
                 raise
+            except asyncio.TimeoutError:
+                self._resolve(
+                    item,
+                    504,
+                    error_payload("timeout", "planning overran the deadline"),
+                )
             except ReproError as exc:
                 self._metrics.bump("unplannable")
                 self._resolve(item, 422, error_payload("unplannable", str(exc)))
@@ -991,28 +984,72 @@ class PlanningGateway:
             finally:
                 self._inflight -= 1
 
-    def _run_plan(self, planner: BatchPlanner, plan_request: PlanRequest):
-        """Runs in a planning thread; pairs the increment in :meth:`_plan_one`.
+    def _run_on_planner(self, call: Callable[[Any], Any], argument: Any) -> Any:
+        """Runs in a planning thread; pairs the increment in :meth:`_on_planner`.
 
         The decrement lives here (not on the awaiting side) because a
         deadline timeout abandons the await while this thread keeps
         running — the job is outstanding until the thread actually ends.
         """
         try:
-            return planner.plan_with_policy_info(plan_request)
+            return call(argument)
         finally:
             with self._executor_lock:
                 self._executor_outstanding -= 1
 
-    def _run_group_plan(
-        self, planner: GroupPlanner, group_request: GroupRequest
-    ):
-        """Group twin of :meth:`_run_plan`; same outstanding accounting."""
+    async def _on_planner(
+        self,
+        loop: asyncio.AbstractEventLoop,
+        item: _QueuedRequest,
+        deadline: float,
+        call: Callable[[Any], Any],
+        argument: Any,
+    ) -> Optional[Tuple[Any, float]]:
+        """Run ``call(argument)`` on a planning thread within ``deadline``.
+
+        Returns ``(result, plan_ms)`` once the ``service_floor_ms`` pad
+        has elapsed, or ``None`` when the pool is saturated and ``item``
+        was shed.  A deadline overrun is metered and re-raised as
+        :class:`asyncio.TimeoutError`, which :meth:`_worker` answers with
+        a 504; exceptions raised by ``call`` propagate too.
+        """
+        with self._executor_lock:
+            saturated = self._executor_outstanding >= self._config.workers
+            if not saturated:
+                self._executor_outstanding += 1
+        if saturated:
+            # Every planning thread is busy — which, when this worker is
+            # free to submit, means threads abandoned past their deadline
+            # (``asyncio.wait_for`` cannot cancel a running thread).
+            # Submitting would queue behind work nobody is waiting for and
+            # burn this request's deadline invisibly; shed explicitly
+            # instead so the executor queue never grows.
+            self._metrics.bump("shed_busy")
+            self._resolve(
+                item,
+                429,
+                error_payload(
+                    "shed", "planner pool saturated by overrunning work"
+                ),
+                {"retry-after": f"{self._config.shed_retry_after_s:.3f}"},
+            )
+            return None
+        started = loop.time()
         try:
-            return planner.plan_with_cache_info(group_request)
-        finally:
-            with self._executor_lock:
-                self._executor_outstanding -= 1
+            result = await asyncio.wait_for(
+                loop.run_in_executor(
+                    self._executor, self._run_on_planner, call, argument
+                ),
+                timeout=deadline - started,
+            )
+        except asyncio.TimeoutError:
+            self._metrics.bump("timeouts")
+            raise
+        plan_ms = (loop.time() - started) * 1000.0
+        pad = self._config.service_floor_ms / 1000.0 - (loop.time() - started)
+        if pad > 0:
+            await asyncio.sleep(pad)
+        return result, plan_ms
 
     def _group_planner_for(self, planner: BatchPlanner) -> GroupPlanner:
         """The tree-cache-owning group planner bound to ``planner``.
@@ -1091,60 +1128,60 @@ class PlanningGateway:
             )
             return
         planner = self._quarantine_planner(state) if health_on else state.planner
-        quarantined = self._active_quarantine if health_on else frozenset()
         if is_group:
-            await self._plan_group_one(
-                loop, item, deadline, queue_ms, state, planner
+            # Never degraded: unservable classes surface as per-class
+            # fallbacks inside a 200, an overrun is an honest 504, and a
+            # planner failure is a typed 422 like any unplannable request.
+            outcome = await self._on_planner(
+                loop,
+                item,
+                deadline,
+                self._group_planner_for(planner).plan_with_cache_info,
+                self._to_group_request(state, item.envelope),
             )
-            return
-        plan_request = self._to_plan_request(state, item.envelope)
-        with self._executor_lock:
-            saturated = self._executor_outstanding >= self._config.workers
-            if not saturated:
-                self._executor_outstanding += 1
-        if saturated:
-            # Every planning thread is busy — which, when this worker is
-            # free to submit, means threads abandoned past their deadline
-            # (``asyncio.wait_for`` cannot cancel a running thread).
-            # Submitting would queue behind work nobody is waiting for and
-            # burn this request's deadline invisibly; shed explicitly
-            # instead so the executor queue never grows.
-            self._metrics.bump("shed_busy")
+            if outcome is None:
+                return
+            (plan, cache_hit), plan_ms = outcome
+            self._metrics.bump("groups")
+            self._metrics.bump("group_sessions", plan.total_sessions)
+            self._metrics.bump("group_branches", len(plan.tree.branches))
+            self._metrics.bump("group_fallbacks", plan.fallback_count)
+            self._metrics.bump(
+                "group_saved_bps", int(round(plan.tree.saved_bandwidth_bps()))
+            )
+            for branch in plan.tree.branches:
+                self._metrics.satisfaction.observe(branch.satisfaction)
             self._resolve(
                 item,
-                429,
-                error_payload(
-                    "shed", "planner pool saturated by overrunning work"
+                200,
+                group_response_payload(
+                    plan,
+                    cache_hit=cache_hit,
+                    generation=state.generation,
+                    queue_ms=queue_ms,
+                    plan_ms=plan_ms,
                 ),
-                {"retry-after": f"{self._config.shed_retry_after_s:.3f}"},
             )
             return
+        quarantined = self._active_quarantine if health_on else frozenset()
         started = loop.time()
         try:
-            plan, cache_hit, decision = await asyncio.wait_for(
-                loop.run_in_executor(
-                    self._executor,
-                    self._run_plan,
-                    planner,
-                    plan_request,
-                ),
-                timeout=deadline - started,
+            outcome = await self._on_planner(
+                loop,
+                item,
+                deadline,
+                planner.plan_with_policy_info,
+                self._to_plan_request(state, item.envelope),
             )
         except asyncio.TimeoutError:
-            self._metrics.bump("timeouts")
-            if health_on:
-                self._resolve_degraded(
-                    item,
-                    state,
-                    "planning overran the deadline",
-                    queue_ms,
-                    plan_ms=(loop.time() - started) * 1000.0,
-                )
-                return
-            self._resolve(
+            if not health_on:
+                raise
+            self._resolve_degraded(
                 item,
-                504,
-                error_payload("timeout", "planning overran the deadline"),
+                state,
+                "planning overran the deadline",
+                queue_ms,
+                plan_ms=(loop.time() - started) * 1000.0,
             )
             return
         except PolicyDeniedError as exc:
@@ -1170,12 +1207,9 @@ class PlanningGateway:
                 )
                 return
             raise
-        plan_ms = (loop.time() - started) * 1000.0
-        floor_s = self._config.service_floor_ms / 1000.0
-        if floor_s > 0:
-            pad = floor_s - (loop.time() - started)
-            if pad > 0:
-                await asyncio.sleep(pad)
+        if outcome is None:
+            return
+        (plan, cache_hit, decision), plan_ms = outcome
         if decision is not None and decision.kind == "skip":
             # Zero-hop fast path: the selector never ran.  Metered apart
             # from "planned" (like degraded answers) so the counter split
@@ -1223,86 +1257,3 @@ class PlanningGateway:
             payload["policy_rule"] = decision.rule_id
             payload["forced_tier"] = decision.tier
         self._resolve(item, 200, payload)
-
-    async def _plan_group_one(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        item: _QueuedRequest,
-        deadline: float,
-        queue_ms: float,
-        state: _GatewayState,
-        planner: BatchPlanner,
-    ) -> None:
-        """Plan one ``/plan-group`` request on a planning thread.
-
-        Quarantine still applies — the group planner sits on whatever
-        planner :meth:`_quarantine_planner` chose — but group answers are
-        never degraded: classes the (possibly masked) catalog cannot
-        serve surface as per-class fallbacks inside a 200, a planning
-        overrun is an honest 504, and a planner-level failure is a typed
-        422 like any other unplannable request.
-        """
-        group_request = self._to_group_request(state, item.envelope)
-        group_planner = self._group_planner_for(planner)
-        with self._executor_lock:
-            saturated = self._executor_outstanding >= self._config.workers
-            if not saturated:
-                self._executor_outstanding += 1
-        if saturated:
-            # Same reasoning as the per-session path: never queue behind
-            # threads abandoned past their deadline.
-            self._metrics.bump("shed_busy")
-            self._resolve(
-                item,
-                429,
-                error_payload(
-                    "shed", "planner pool saturated by overrunning work"
-                ),
-                {"retry-after": f"{self._config.shed_retry_after_s:.3f}"},
-            )
-            return
-        started = loop.time()
-        try:
-            plan, cache_hit = await asyncio.wait_for(
-                loop.run_in_executor(
-                    self._executor,
-                    self._run_group_plan,
-                    group_planner,
-                    group_request,
-                ),
-                timeout=deadline - started,
-            )
-        except asyncio.TimeoutError:
-            self._metrics.bump("timeouts")
-            self._resolve(
-                item,
-                504,
-                error_payload("timeout", "planning overran the deadline"),
-            )
-            return
-        plan_ms = (loop.time() - started) * 1000.0
-        floor_s = self._config.service_floor_ms / 1000.0
-        if floor_s > 0:
-            pad = floor_s - (loop.time() - started)
-            if pad > 0:
-                await asyncio.sleep(pad)
-        self._metrics.bump("groups")
-        self._metrics.bump("group_sessions", plan.total_sessions)
-        self._metrics.bump("group_branches", len(plan.tree.branches))
-        self._metrics.bump("group_fallbacks", plan.fallback_count)
-        self._metrics.bump(
-            "group_saved_bps", int(round(plan.tree.saved_bandwidth_bps()))
-        )
-        for branch in plan.tree.branches:
-            self._metrics.satisfaction.observe(branch.satisfaction)
-        self._resolve(
-            item,
-            200,
-            group_response_payload(
-                plan,
-                cache_hit=cache_hit,
-                generation=state.generation,
-                queue_ms=queue_ms,
-                plan_ms=plan_ms,
-            ),
-        )

@@ -1,10 +1,10 @@
 """One simulated adaptive session: admit, stream, replan, finish.
 
-A :class:`SimSession` is the event-driven counterpart of
-:class:`~repro.runtime.replanning.AdaptiveSession`: instead of stepping a
-private loop over its own copy of the network, it lives on the shared
-:class:`~repro.sim.world.SimWorld` with hundreds of concurrent peers and
-advances only when the simulator fires one of its events:
+A :class:`SimSession` closes the loop the paper's Section 3 implies for
+fluctuating networks: it lives on the shared
+:class:`~repro.sim.world.SimWorld` with any number of concurrent peers
+(one, for the E13 bench) and advances only when the simulator fires one
+of its events:
 
 - **arrival** — plan against the effective residual infrastructure and
   reserve the chain's bandwidth, or be rejected;

@@ -1,16 +1,12 @@
-"""Tests for bandwidth reservations and admission control."""
+"""Tests for the bandwidth reservation ledger."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
 from repro.errors import ValidationError
 from repro.network.reservations import BandwidthLedger
 from repro.network.topology import NetworkTopology
-from repro.runtime.admission import AdmissionController
-from repro.workloads.paper import figure6_scenario
 
 
 def small_topology() -> NetworkTopology:
@@ -86,96 +82,3 @@ class TestBandwidthLedger:
         with pytest.raises(Exception):
             ledger.residual("a", "c")
 
-
-class TestAdmissionOnFigure6:
-    def _controller(self, min_satisfaction=0.0):
-        scenario = figure6_scenario()
-        controller = AdmissionController(
-            registry=scenario.registry,
-            parameters=scenario.parameters,
-            catalog=scenario.catalog,
-            placement=scenario.placement,
-            min_satisfaction=min_satisfaction,
-        )
-        return scenario, controller
-
-    def _admit(self, scenario, controller):
-        return controller.admit(
-            content=scenario.content,
-            device=scenario.device,
-            user=scenario.user,
-            sender_node=scenario.sender_node,
-            receiver_node=scenario.receiver_node,
-        )
-
-    def test_first_admission_matches_the_paper(self):
-        scenario, controller = self._controller()
-        session = self._admit(scenario, controller)
-        assert session is not None
-        assert session.result.path == ("sender", "T7", "receiver")
-        assert session.satisfaction == pytest.approx(19.75 / 30.0, abs=1e-6)
-
-    def test_later_admissions_see_less_capacity(self):
-        scenario, controller = self._controller()
-        first = self._admit(scenario, controller)
-        second = self._admit(scenario, controller)
-        assert first is not None and second is not None
-        # The first stream consumed most of the T7 access link, so the
-        # second session composes a different (or slower) chain.
-        assert second.satisfaction < first.satisfaction
-
-    def test_admissions_monotonically_decrease(self):
-        scenario, controller = self._controller()
-        satisfactions = []
-        for _ in range(6):
-            session = self._admit(scenario, controller)
-            if session is None:
-                break
-            satisfactions.append(session.satisfaction)
-        assert len(satisfactions) >= 3
-        assert satisfactions == sorted(satisfactions, reverse=True)
-
-    def test_satisfaction_floor_rejects(self):
-        scenario, controller = self._controller(min_satisfaction=0.6)
-        first = self._admit(scenario, controller)
-        assert first is not None  # 0.658 clears the floor
-        second = self._admit(scenario, controller)
-        assert second is None  # nothing above 0.6 remains
-
-    def test_teardown_restores_admissibility(self):
-        scenario, controller = self._controller(min_satisfaction=0.6)
-        first = self._admit(scenario, controller)
-        assert self._admit(scenario, controller) is None
-        controller.teardown(first.session_id)
-        again = self._admit(scenario, controller)
-        assert again is not None
-        assert again.satisfaction == pytest.approx(first.satisfaction)
-
-    def test_teardown_all(self):
-        scenario, controller = self._controller()
-        self._admit(scenario, controller)
-        self._admit(scenario, controller)
-        assert controller.teardown_all() == 2
-        assert controller.active_sessions() == []
-        assert len(controller.ledger) == 0
-
-    def test_unknown_teardown_rejected(self):
-        _, controller = self._controller()
-        with pytest.raises(ValidationError):
-            controller.teardown(999)
-
-    def test_rejection_reserves_nothing(self):
-        scenario, controller = self._controller(min_satisfaction=0.99)
-        assert self._admit(scenario, controller) is None
-        assert len(controller.ledger) == 0
-
-    def test_invalid_floor_rejected(self):
-        scenario = figure6_scenario()
-        with pytest.raises(ValidationError):
-            AdmissionController(
-                registry=scenario.registry,
-                parameters=scenario.parameters,
-                catalog=scenario.catalog,
-                placement=scenario.placement,
-                min_satisfaction=1.5,
-            )

@@ -5,8 +5,8 @@ from __future__ import annotations
 import io
 
 from repro.cli import main
+from repro.network.reservations import BandwidthLedger
 from repro.planner import BatchPlanner, PlanCache, synthetic_requests
-from repro.runtime.admission import AdmissionController
 from repro.runtime.metrics import PlannerReport
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
@@ -149,36 +149,21 @@ def test_session_plan_accepts_cache(small_synthetic):
 def test_admission_controller_reuses_plans_until_reservation():
     scenario = _scenario(seed=11)
     cache = PlanCache()
-    controller = AdmissionController(
-        registry=scenario.registry,
-        parameters=scenario.parameters,
-        catalog=scenario.catalog,
-        placement=scenario.placement,
-        cache=cache,
-    )
+    ledger = BandwidthLedger(scenario.topology)
+    planner = BatchPlanner.for_scenario(scenario, cache=cache, ledger=ledger)
+    (request,) = synthetic_requests(scenario, 1, 1)
 
-    def admit():
-        return controller.admit(
-            content=scenario.content,
-            device=scenario.device,
-            user=scenario.user,
-            sender_node=scenario.sender_node,
-            receiver_node=scenario.receiver_node,
-        )
-
-    first = admit()
-    assert first is not None
-    stats = cache.stats
-    assert stats.misses == 1
-    if first.reservations and any(
-        r.bandwidth_bps > 0 and len(r.route) > 1 for r in first.reservations
-    ):
-        # The admission reserved bandwidth -> ledger generation moved ->
-        # the next identical request must be planned fresh, never served
-        # the pre-reservation plan.
-        admit()
-        assert cache.stats.misses == 2
-        assert cache.stats.hits == 0
+    first = planner.plan(request)
+    assert first.success
+    # An unchanged reservation table serves the cached plan.
+    assert planner.plan(request) is first
+    assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+    link = next(iter(scenario.topology.links()))
+    ledger.reserve([link.a, link.b], 1.0)
+    # The reservation moved the ledger generation -> the next identical
+    # request must be planned fresh, never served the pre-reservation plan.
+    planner.plan(request)
+    assert (cache.stats.misses, cache.stats.hits) == (2, 1)
 
 
 def test_planner_report_summary_and_rates():

@@ -195,11 +195,19 @@ class TestSimulateCommand:
         assert code == 0
         assert "virtual horizon:   10.0s" in text
 
-    def test_unknown_scenario_fails(self):
-        from repro.errors import ValidationError
+    def test_unknown_scenario_fails(self, capsys):
+        from repro.sim import scenario_names
 
-        with pytest.raises(ValidationError):
-            run_cli("simulate", "--scenario", "nope")
+        # Checked at parse time against the campaign registry.
+        parser = build_parser()
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(["simulate", "--scenario", "nope"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        assert "policy-mix" in scenario_names()
+        for name in scenario_names():
+            args = parser.parse_args(["simulate", "--scenario", name])
+            assert args.scenario == name
 
 
 class TestScenarioFileErrors:

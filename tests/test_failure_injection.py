@@ -126,11 +126,13 @@ class TestStaleStateAcrossLayers:
         )
         from repro.core.satisfaction import LinearSatisfaction
         from repro.formats.variants import ContentVariant
+        from repro.planner.batch import PlanRequest
         from repro.profiles.content import ContentProfile
         from repro.profiles.device import DeviceProfile
         from repro.profiles.user import UserProfile
-        from repro.runtime.admission import AdmissionController
         from repro.services.catalog import ServiceCatalog
+        from repro.sim.world import SimWorld
+        from repro.workloads.scenario import Scenario
 
         # sender(ns) -> X(back on ns side!) -> receiver(nr): both hops
         # cross the single ns--nr link.
@@ -163,12 +165,6 @@ class TestStaleStateAcrossLayers:
                 Parameter(COLOR_DEPTH, "bits", DiscreteDomain([24.0])),
             ]
         )
-        controller = AdmissionController(
-            registry=registry,
-            parameters=parameters,
-            catalog=catalog,
-            placement=placement,
-        )
         content = ContentProfile(
             "c",
             [
@@ -184,15 +180,33 @@ class TestStaleStateAcrossLayers:
         user = UserProfile(
             "u", {FRAME_RATE: LinearSatisfaction(0, 30)}, budget=10.0
         )
-        session = controller.admit(content, device, user, "ns", "ns")
+        world = SimWorld(
+            Scenario(
+                name="self-collision",
+                registry=registry,
+                parameters=parameters,
+                catalog=catalog,
+                topology=topology,
+                placement=placement,
+                content=content,
+                device=device,
+                user=user,
+                sender_node="ns",
+                receiver_node="ns",
+            )
+        )
+        request = PlanRequest(content, device, user, "ns", "ns")
+        plan = world.plan(request)
+        assert plan is not None
+        leases = world.reserve_plan(plan, request)
         # Either the admission succeeds with a consistent ledger, or it
         # is rejected with an EMPTY ledger — never a half-booked state.
-        if session is None:
-            assert len(controller.ledger) == 0
+        if leases is None:
+            assert len(world.ledger) == 0
         else:
-            assert len(controller.ledger) == len(session.reservations)
-            controller.teardown(session.session_id)
-            assert len(controller.ledger) == 0
+            assert len(world.ledger) == len(leases)
+            world.release(leases)
+            assert len(world.ledger) == 0
 
     def test_unknown_node_in_topology_queries(self):
         topology = NetworkTopology()

@@ -16,9 +16,9 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.errors import ValidationError
 from repro.network.reservations import BandwidthLedger
 from repro.planner import BatchPlanner, PlanCache, synthetic_requests
-from repro.runtime.admission import AdmissionController
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
 N_THREADS = 16
@@ -69,50 +69,57 @@ def test_concurrent_cache_is_single_flight_and_untorn():
 
 def test_concurrent_admission_never_oversubscribes_links():
     scenario = _scenario(seed=11)
-    controller = AdmissionController(
-        registry=scenario.registry,
-        parameters=scenario.parameters,
-        catalog=scenario.catalog,
-        placement=scenario.placement,
-    )
+    topology = scenario.topology
+    ledger = BandwidthLedger(topology)
+    nodes = sorted(node.node_id for node in topology.nodes())
+    routes = [
+        route
+        for route in (topology.widest_path(nodes[0], other) for other in nodes[1:])
+        if route is not None and len(route) > 1
+    ]
+    # Every claim asks a quarter of the first route's bottleneck, and that
+    # route alone gets more than four claims: some must be refused.
+    demand = min(
+        topology.get_link(a, b).bandwidth_bps
+        for a, b in zip(routes[0], routes[0][1:])
+    ) / 4.0
+    attempts = 3 * N_THREADS
+    assert attempts > 4 * len(routes)
 
-    def admit(_):
-        return controller.admit(
-            content=scenario.content,
-            device=scenario.device,
-            user=scenario.user,
-            sender_node=scenario.sender_node,
-            receiver_node=scenario.receiver_node,
-        )
+    def claim(index):
+        try:
+            return ledger.reserve(
+                routes[index % len(routes)], demand, label=f"claim-{index}"
+            )
+        except ValidationError:
+            return None
 
     with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
-        admitted = [s for s in pool.map(admit, range(3 * N_THREADS)) if s]
+        admitted = [r for r in pool.map(claim, range(attempts)) if r]
 
     assert admitted, "stress scenario admitted nothing; rebalance the config"
-    assert len(controller.active_sessions()) == len(admitted)
+    assert len(admitted) < attempts
+    assert len(ledger) == len(admitted)
 
-    ledger = controller.ledger
     # Per-link accounting: reserved == sum of active claims, and no claim
     # pushed a link past its capacity (the 1e-9 slack absorbs exact fits).
     expected = {}
-    for session in admitted:
-        for reservation in session.reservations:
-            for link_key in reservation.links():
-                expected[link_key] = (
-                    expected.get(link_key, 0.0) + reservation.bandwidth_bps
-                )
-    for (a, b), demand in expected.items():
-        assert abs(ledger.reserved_on(a, b) - demand) < 1e-6
-        capacity = scenario.topology.get_link(a, b).bandwidth_bps
-        assert demand <= capacity * (1.0 + 1e-6)
+    for reservation in admitted:
+        for link_key in reservation.links():
+            expected[link_key] = (
+                expected.get(link_key, 0.0) + reservation.bandwidth_bps
+            )
+    for (a, b), reserved in expected.items():
+        assert abs(ledger.reserved_on(a, b) - reserved) < 1e-6
+        capacity = topology.get_link(a, b).bandwidth_bps
+        assert reserved <= capacity * (1.0 + 1e-6)
 
     # Duplicate-reservation check: every reservation id is unique.
-    ids = [
-        r.reservation_id for s in admitted for r in s.reservations
-    ]
+    ids = [r.reservation_id for r in admitted]
     assert len(ids) == len(set(ids))
 
-    assert controller.teardown_all() == len(admitted)
+    for reservation in admitted:
+        ledger.release(reservation)
     assert len(ledger) == 0
     for a, b in expected:
         assert ledger.reserved_on(a, b) == 0.0

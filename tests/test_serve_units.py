@@ -3,15 +3,18 @@
 Covers the HTTP/1.1 codec (both directions share it, so these tests pin
 the framing contract), the admission machinery (token buckets, the rate
 limiter's bounded client table, the EDF deadline queue), the wire
-protocol decoder, and the fixed-bucket histogram.  Everything here is
-deterministic: clocks are injected, and the only event loop used is a
-throwaway ``asyncio.run`` per test (no pytest-asyncio in this repo).
+protocol decoder, the fixed-bucket histogram, and the gateway's hand-off
+to its planning threads.  Clocks are injected wherever timing matters, and
+the only event loop used is a throwaway ``asyncio.run`` per test (no
+pytest-asyncio in this repo).
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
+import threading
 
 import pytest
 
@@ -30,6 +33,7 @@ from repro.serve.protocol import (
     encode_payload,
     error_payload,
 )
+from repro.workloads.paper import figure6_scenario
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
 
@@ -349,3 +353,119 @@ class TestLoadgenValidation:
         with pytest.raises(ValidationError):
             asyncio.run(run_loadgen(scenario,
                                     LoadgenConfig(requests=0)))
+
+
+OVERRAN = {"status": "timeout", "detail": "planning overran the deadline"}
+
+
+@pytest.fixture
+def stalled_builds(monkeypatch):
+    """Hold every adaptation-graph build until the yielded event is set."""
+    from repro.core.graph import AdaptationGraphBuilder
+
+    release = threading.Event()
+    build = AdaptationGraphBuilder.build
+
+    def stalled(self, *args, **kwargs):
+        release.wait(10.0)
+        return build(self, *args, **kwargs)
+
+    monkeypatch.setattr(AdaptationGraphBuilder, "build", stalled)
+    yield release
+    release.set()
+
+
+def against_gateway(world, drive, **config):
+    """Serve ``world`` on an ephemeral port and run ``drive(gateway, post)``."""
+    from repro.serve import GatewayConfig, PlanningGateway
+
+    async def post(port, path, payload):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(render_request("POST", path, encode_payload(payload)))
+        await writer.drain()
+        response = await asyncio.wait_for(read_response(reader), 10.0)
+        writer.close()
+        return response.status, json.loads(response.body)
+
+    async def scenario():
+        gateway = PlanningGateway(world, GatewayConfig(port=0, workers=2, **config))
+        await gateway.start()
+        try:
+            return await drive(gateway, post)
+        finally:
+            await gateway.drain()
+
+    return asyncio.run(scenario())
+
+
+class TestPlannerHandOff:
+    @pytest.mark.parametrize("path, health", [
+        ("/plan", False), ("/plan-group", False), ("/plan", True),
+    ])
+    def test_planning_overrun_answers(self, stalled_builds, path, health):
+        """Both request kinds share one planning hand-off: an overrun is a
+        metered 504, except that ``/plan`` degrades under health mode."""
+        from repro.planner import device_variants
+        from repro.serve.health import HealthConfig
+
+        world = figure6_scenario()
+        body = {"deadline_ms": 100}
+        if path == "/plan-group":
+            body["receivers"] = [
+                {"class_id": "only", "device": profile_to_dict(device),
+                 "sessions": 2}
+                for device in device_variants(world.device, 1)
+            ]
+
+        async def drive(gateway, post):
+            answer = await post(gateway.port, path, body)
+            stalled_builds.set()
+            return answer, gateway.metrics_document()
+
+        (status, payload), metrics = against_gateway(
+            world, drive, health=HealthConfig() if health else None
+        )
+        assert metrics["metrics"]["counters"]["timeouts"] == 1
+        if health:
+            assert status == 200
+            assert payload["status"] == "degraded"
+            assert payload["reason"] == "planning overran the deadline"
+        else:
+            assert (status, payload) == (504, OVERRAN)
+
+    def test_thread_finishing_after_swap_never_serves_the_old_world(
+        self, stalled_builds
+    ):
+        """A ``/plan`` thread abandoned at its deadline can finish after a
+        hot swap and insert into the plan cache the swap shares; the next
+        identical request must still be planned for the new world."""
+
+        def reloaded(t7_cost):
+            # The same world re-read with one edit: every generation
+            # counter matches, only T7's cost differs.
+            scenario = figure6_scenario()
+            t7 = scenario.catalog.get("T7")
+            scenario.catalog.remove("T7")
+            scenario.catalog.add(dataclasses.replace(t7, cost=t7_cost))
+            return scenario
+
+        new_world = reloaded(1000.0)  # over the user's budget: T7 unusable
+
+        async def drive(gateway, post):
+            abandoned = await post(gateway.port, "/plan", {"deadline_ms": 50})
+            gateway.swap_scenario(new_world)
+            stalled_builds.set()
+            while gateway._executor_outstanding:
+                await asyncio.sleep(0.01)
+            stale_entries = gateway._cache.stats.entries
+            return abandoned, stale_entries, await post(gateway.port, "/plan", {})
+
+        abandoned, stale_entries, fresh = against_gateway(reloaded(1.0), drive)
+        assert abandoned == (504, OVERRAN)
+        # The old world's plan landed in the shared cache after the swap.
+        assert stale_entries == 1
+        status, payload = fresh
+        assert status == 200
+        assert payload["generation"] == 2
+        assert payload["cache_hit"] is False
+        assert payload["path"] == ["sender", "T8", "receiver"]

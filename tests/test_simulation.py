@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.errors import ValidationError
+from repro.planner import synthetic_requests
 from repro.sim import (
     FlashCrowd,
     LinkDegradation,
@@ -23,6 +24,7 @@ from repro.sim import (
     scenario_names,
 )
 from repro.sim.report import ABORTED, COMPLETED, REJECTED, TRUNCATED
+from repro.workloads.paper import figure6_scenario
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
 
@@ -61,6 +63,141 @@ def small_config(small_scenario, **overrides):
     )
     defaults.update(overrides)
     return SimulationConfig(**defaults)
+
+
+#: E16 (benchmarks/results/admission.txt): chain, fps and S of the k-th
+#: identical client admitted on Figure 6 at floor S >= 0.10.
+E16_ROWS = [
+    ("sender,T7,receiver", 19.75, 0.658),
+    ("sender,T8,receiver", 16.00, 0.533),
+    ("sender,T6,receiver", 15.50, 0.517),
+    ("sender,T10,T20,receiver", 15.20, 0.507),
+    ("sender,T10,receiver", 14.80, 0.493),
+    ("sender,T1,T11,receiver", 12.50, 0.417),
+    ("sender,T2,T13,receiver", 12.40, 0.413),
+    ("sender,T3,T14,receiver", 12.20, 0.407),
+    ("sender,T2,T12,receiver", 10.50, 0.350),
+]
+
+
+class TestFigure6Admission:
+    """E16 on the shared world: plan, apply the floor, reserve, release."""
+
+    @staticmethod
+    def admit(world, request, floor=0.10):
+        plan = world.plan(request)
+        if plan is None or plan.result.satisfaction < floor:
+            return None
+        leases = world.reserve_plan(plan, request)
+        return None if leases is None else (plan, leases)
+
+    def test_successive_admissions_reproduce_e16(self):
+        world = SimWorld(figure6_scenario())
+        (request,) = synthetic_requests(world.scenario, 1, 1)
+        admitted = []
+        while len(admitted) <= 40:
+            session = self.admit(world, request)
+            if session is None:
+                break
+            admitted.append(session)
+        assert [
+            (
+                ",".join(plan.result.path),
+                round(plan.result.delivered_frame_rate, 2),
+                round(plan.result.satisfaction, 3),
+            )
+            for plan, _ in admitted
+        ] == E16_ROWS
+        # The rejected tenth arrival reserved nothing.
+        assert len(world.ledger) == sum(len(leases) for _, leases in admitted)
+        # Tearing down the first session revives the T7 chain.
+        world.release(admitted[0][1])
+        revived, leases = self.admit(world, request)
+        assert revived.result.path == ("sender", "T7", "receiver")
+        assert revived.result.satisfaction == pytest.approx(19.75 / 30.0, abs=1e-6)
+        for _, held in admitted[1:] + [(revived, leases)]:
+            world.release(held)
+        assert len(world.ledger) == 0
+
+    def test_floor_rejects_without_reserving(self):
+        world = SimWorld(figure6_scenario())
+        (request,) = synthetic_requests(world.scenario, 1, 1)
+        first = self.admit(world, request, floor=0.6)
+        assert first is not None  # 0.658 clears the floor
+        assert self.admit(world, request, floor=0.6) is None
+        assert len(world.ledger) == len(first[1])
+
+
+def figure6_session(replan_threshold, factor=0.05, host="n7"):
+    """E13: one 30 s Figure 6 session; ``host``'s links drop at t=10 s.
+
+    ``host=None`` degrades every link.  Returns the outcome and the
+    session's trace as ``(time, category, message)`` without fault lines.
+    """
+    scenario = figure6_scenario()
+    faults = tuple(
+        LinkDegradation(link.a, link.b, start_s=10.0, duration_s=30.0,
+                        factor=factor)
+        for link in scenario.topology.links()
+        if host is None or host in link.endpoints()
+    )
+    run = SimulationRun(
+        SimulationConfig(
+            scenario=scenario,
+            sessions=1,
+            device_classes=1,
+            arrivals=UniformArrivals(over_s=0.0),
+            session_duration_s=30.0,
+            duration_jitter=0.0,
+            segment_s=1.0,
+            replan_threshold=replan_threshold,
+            abandon_after_stalls=0,
+            faults=faults,
+            horizon_s=30.0,
+        )
+    )
+    (outcome,) = run.execute().outcomes
+    return outcome, [
+        (event.time_s, event.category, event.message)
+        for event in run.sim.trace
+        if event.category != "fault"
+    ]
+
+
+class TestFigure6Replanning:
+    """E13 on the simulator: re-plan when T7's host collapses."""
+
+    def test_collapse_switches_to_t8(self):
+        outcome, timeline = figure6_session(replan_threshold=0.9)
+        assert outcome.state == COMPLETED
+        assert timeline == [
+            (0.0, "admit", "session 1: sender,T7,receiver (S=0.658)"),
+            (10.0, "degraded", "session 1: S=0.033 < floor 0.593"),
+            (10.0, "replan",
+             "session 1: switched to sender,T8,receiver (S=0.533)"),
+            (30.0, "complete", "session 1: finished"),
+        ]
+
+    @pytest.mark.parametrize(
+        "threshold, factor, host, replans, failed, mean",
+        [
+            # E13 adaptive: 10 s on T7 at 19.75 fps, 20 s on T8 at 16 fps.
+            (0.9, 0.05, "n7", 1, 0, 0.554),
+            # E13 stubborn: streams on the collapsed chain.
+            (0.01, 0.05, "n7", 0, 0, 0.221),
+            # Nothing degrades: never re-plans.
+            (0.9, 1.0, "n7", 0, 0, 0.658),
+            # Every link halves: the re-plan at each of the 21 segment
+            # checks from t=10 to t=30 finds nothing better.
+            (0.9, 0.5, None, 0, 21, 0.428),
+        ],
+        ids=["adaptive", "stubborn", "steady", "uniform-collapse"],
+    )
+    def test_outcomes(self, threshold, factor, host, replans, failed, mean):
+        outcome, _ = figure6_session(threshold, factor=factor, host=host)
+        assert outcome.replans == replans
+        assert outcome.failed_replans == failed
+        assert outcome.mean_satisfaction == pytest.approx(mean, abs=5e-4)
 
 
 class TestDeterminism:
@@ -212,6 +349,17 @@ class TestFaults:
         # After the fault window the overlay must be clean again.
         assert run.world.link_factor(link.a, link.b) == 1.0
         assert world_probe.link_factor(link.a, link.b) == 1.0
+
+    def test_effective_topology_scales_bandwidths(self):
+        world = SimWorld(figure6_scenario())
+        links = world.scenario.topology.links()
+        for link in links:
+            world.set_link_factor(link.a, link.b, 0.25)
+        snapshot = world.effective_topology()
+        for link in links:
+            scaled = snapshot.get_link(link.a, link.b)
+            assert scaled.bandwidth_bps == pytest.approx(link.bandwidth_bps * 0.25)
+            assert scaled.delay_ms == link.delay_ms
 
     def test_flash_crowd_adds_sessions(self, small_scenario):
         report = run_simulation(
