@@ -36,6 +36,11 @@ from repro.services.descriptor import ServiceDescriptor, ServiceKind
 
 __all__ = ["Vertex", "Edge", "AdaptationGraph", "AdaptationGraphBuilder"]
 
+#: ``(bandwidth, cost, delay)`` between two services on one host (§4.3).
+_SAME_HOST = (math.inf, 0.0, 0.0)
+#: The same facts for hosts with no route; such pairs form no edge.
+_DISCONNECTED = (0.0, 0.0, 0.0)
+
 
 @dataclass(frozen=True)
 class Vertex:
@@ -108,37 +113,45 @@ class AdaptationGraph:
                 raise GraphConstructionError(f"{role} vertex {endpoint_id!r} missing")
         self.sender_id = sender_id
         self.receiver_id = receiver_id
-        out_lists: Dict[str, List[Edge]] = {v: [] for v in self._vertices}
-        in_lists: Dict[str, List[Edge]] = {v: [] for v in self._vertices}
         for edge in edges:
             if edge.source not in self._vertices:
                 raise GraphConstructionError(f"edge from unknown vertex {edge.source!r}")
             if edge.target not in self._vertices:
                 raise GraphConstructionError(f"edge to unknown vertex {edge.target!r}")
-            out_lists[edge.source].append(edge)
-            in_lists[edge.target].append(edge)
-        # The graph is frozen after construction, so the adjacency order the
-        # selectors rely on is computed exactly once here instead of on
-        # every out_edges()/in_edges() call (the seed re-sorted per call).
-        self._out_edges: Dict[str, Tuple[Edge, ...]] = {
-            v: tuple(
-                sorted(es, key=lambda e: (service_sort_key(e.target), e.format_name))
-            )
-            for v, es in out_lists.items()
-        }
-        self._in_edges: Dict[str, Tuple[Edge, ...]] = {
-            v: tuple(
-                sorted(es, key=lambda e: (service_sort_key(e.source), e.format_name))
-            )
-            for v, es in in_lists.items()
+        sort_keys = {
+            service_id: service_sort_key(service_id) for service_id in self._vertices
         }
         self._ordered_ids: Tuple[str, ...] = tuple(
-            sorted(self._vertices, key=service_sort_key)
+            sorted(self._vertices, key=sort_keys.__getitem__)
         )
         #: Natural-order rank per vertex id; selectors use it to turn the
         #: string-keyed tie-break orderings into cheap integer comparisons.
         self._vertex_rank: Dict[str, int] = {
             service_id: rank for rank, service_id in enumerate(self._ordered_ids)
+        }
+        # The graph is frozen after construction, so the adjacency order the
+        # selectors rely on is computed exactly once here instead of on
+        # every out_edges()/in_edges() call (the seed re-sorted per call).
+        # It sorts on the dense rank of each id's natural sort key: ids
+        # whose keys tie (``T1``/``T01``) share a rank and fall through to
+        # the format name, exactly as sorting on the key itself would.
+        key_rank: Dict[Tuple[str, float], int] = {}
+        for service_id in self._ordered_ids:
+            key_rank.setdefault(sort_keys[service_id], len(key_rank))
+        rank = {service_id: key_rank[key] for service_id, key in sort_keys.items()}
+        # One stable sort per direction, then bucketing, leaves every
+        # bucket sorted with ties in input order, as a per-vertex sort would.
+        out_lists: Dict[str, List[Edge]] = {v: [] for v in self._vertices}
+        for edge in sorted(edges, key=lambda e: (rank[e.target], e.format_name)):
+            out_lists[edge.source].append(edge)
+        in_lists: Dict[str, List[Edge]] = {v: [] for v in self._vertices}
+        for edge in sorted(edges, key=lambda e: (rank[e.source], e.format_name)):
+            in_lists[edge.target].append(edge)
+        self._out_edges: Dict[str, Tuple[Edge, ...]] = {
+            v: tuple(es) for v, es in out_lists.items()
+        }
+        self._in_edges: Dict[str, Tuple[Edge, ...]] = {
+            v: tuple(es) for v, es in in_lists.items()
         }
 
     # ------------------------------------------------------------------
@@ -385,31 +398,16 @@ class AdaptationGraphBuilder:
         )
 
     def _connect(self, vertices: Sequence[Vertex]) -> List[Edge]:
-        """Create one edge per (producer, consumer, shared format) triple."""
+        """Create one edge per (producer, consumer, shared format) triple.
+
+        Edge facts come from one single-source widest tree per distinct
+        producer host, kept for this call only.  Trees are per direction:
+        a→b and b→a may tie-break onto different routes, so their cost and
+        delay can differ.
+        """
         topology = self._placement.topology
         edges: List[Edge] = []
-        # Cache host-pair bandwidth: quadratic vertex pairs share few pairs.
-        bandwidth_cache: Dict[Tuple[str, str], Tuple[float, float, float]] = {}
-
-        def between(a: str, b: str) -> Tuple[float, float, float]:
-            key = (a, b)
-            hit = bandwidth_cache.get(key)
-            if hit is not None:
-                return hit
-            if a == b:
-                result = (math.inf, 0.0, 0.0)
-            else:
-                path = topology.widest_path(a, b)
-                if path is None:
-                    result = (0.0, 0.0, 0.0)
-                else:
-                    result = (
-                        topology.path_bottleneck(path),
-                        topology.path_cost(path),
-                        topology.path_delay_ms(path),
-                    )
-            bandwidth_cache[key] = result
-            return result
+        routes_from: Dict[str, Mapping[str, Tuple[float, float, float]]] = {}
 
         consumers_of: Dict[str, List[Vertex]] = {}
         for vertex in vertices:
@@ -417,13 +415,21 @@ class AdaptationGraphBuilder:
                 consumers_of.setdefault(fmt, []).append(vertex)
 
         for producer in vertices:
+            host = producer.node_id
+            routes = routes_from.get(host)
             for fmt in producer.service.output_formats:
                 for consumer in consumers_of.get(fmt, ()):
-                    if consumer.service_id == producer.service_id:
+                    if consumer is producer:
                         continue
-                    bandwidth, cost, delay = between(
-                        producer.node_id, consumer.node_id
-                    )
+                    if consumer.node_id == host:
+                        bandwidth, cost, delay = _SAME_HOST
+                    else:
+                        if routes is None:
+                            routes = topology.widest_tree(host).routes
+                            routes_from[host] = routes
+                        bandwidth, cost, delay = routes.get(
+                            consumer.node_id, _DISCONNECTED
+                        )
                     if bandwidth <= 0.0:
                         continue  # Disconnected hosts cannot form an edge.
                     edges.append(

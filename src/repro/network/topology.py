@@ -9,8 +9,11 @@ transmission cost.  Three queries matter to the rest of the system:
   between the hosts of two services, defined as the *bottleneck of the
   widest path* between their nodes.  Services on the same node see
   unlimited bandwidth (Section 4.3).
-- :meth:`NetworkTopology.widest_path` — the path realizing that bottleneck
-  (a max-bottleneck Dijkstra).
+- :meth:`NetworkTopology.widest_tree` — one single-source max-bottleneck
+  Dijkstra that reports, for every reachable node, the tree parent plus
+  the route's bottleneck, cost and delay.  The adaptation-graph builder
+  runs it once per distinct source host, and :meth:`widest_path` unwinds
+  one route from it (stopping early at the target).
 - :meth:`NetworkTopology.shortest_path` — fewest-hops / least-delay routing
   for the baselines and the runtime pipeline's latency model.
 """
@@ -20,11 +23,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import UnknownNodeError, ValidationError
 
-__all__ = ["NetworkNode", "Link", "NetworkTopology"]
+__all__ = ["NetworkNode", "Link", "NetworkTopology", "WidestTree"]
 
 #: Bandwidth reported between two services hosted on the same node.
 UNLIMITED_BANDWIDTH = math.inf
@@ -100,13 +103,43 @@ def _canonical(a: str, b: str) -> Tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def _unwind(parent: Mapping[str, str], source: str, target: str) -> List[str]:
+    path = [target]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+class WidestTree(NamedTuple):
+    """The settled part of one single-source max-bottleneck Dijkstra.
+
+    ``routes`` maps every settled node to ``(bottleneck_bps, cost,
+    delay_ms)`` of its tree route from ``source``; ``parent`` is the tree
+    itself.  The source maps to ``(inf, 0, 0)`` and has no parent.  A node
+    missing from ``routes`` is disconnected from ``source`` (or was never
+    settled because the search stopped early at its target).
+    """
+
+    source: str
+    parent: Dict[str, str]
+    routes: Dict[str, Tuple[float, float, float]]
+
+    def path(self, target: str) -> Optional[List[str]]:
+        """The tree route ``source → target``, or ``None`` if unsettled."""
+        if target not in self.routes:
+            return None
+        return _unwind(self.parent, self.source, target)
+
+
 class NetworkTopology:
     """Mutable collection of nodes and links with routing queries."""
 
     def __init__(self) -> None:
         self._nodes: Dict[str, NetworkNode] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
-        self._adjacency: Dict[str, List[str]] = {}
+        #: Per node, its ``(neighbor, link)`` pairs in link-insertion order.
+        self._adjacency: Dict[str, List[Tuple[str, Link]]] = {}
         self._generation = 0
 
     @property
@@ -147,8 +180,8 @@ class NetworkTopology:
         if key in self._links:
             raise ValidationError(f"link {key} already exists")
         self._links[key] = link
-        self._adjacency[link.a].append(link.b)
-        self._adjacency[link.b].append(link.a)
+        self._adjacency[link.a].append((link.b, link))
+        self._adjacency[link.b].append((link.a, link))
         self._generation += 1
         return link
 
@@ -194,7 +227,7 @@ class NetworkTopology:
     def neighbors(self, node_id: str) -> List[str]:
         if node_id not in self._nodes:
             raise UnknownNodeError(node_id)
-        return list(self._adjacency[node_id])
+        return [neighbor for neighbor, _ in self._adjacency[node_id]]
 
     def __contains__(self, node_id: object) -> bool:
         return node_id in self._nodes
@@ -205,44 +238,72 @@ class NetworkTopology:
     # ------------------------------------------------------------------
     # Routing queries
     # ------------------------------------------------------------------
+    def widest_tree(self, source: str, stop: Optional[str] = None) -> WidestTree:
+        """Single-source max-bottleneck Dijkstra from ``source``.
+
+        Settles every node reachable from ``source``, or stops right after
+        settling ``stop`` when one is given; a node's route is final once
+        it is settled, so an early stop changes no reported route.  The
+        bottleneck is the widest width the search reached the node with,
+        which equals :meth:`path_bottleneck` over its route.  Cost and
+        delay extend the parent's per-link terms root to leaf and are
+        summed with the builtin :func:`sum`, so they equal
+        :meth:`path_cost` and :meth:`path_delay_ms` over the route bit for
+        bit on every interpreter (CPython 3.12+ compensates float sums).
+        """
+        if source not in self._nodes:
+            raise UnknownNodeError(source)
+        best: Dict[str, float] = {source: math.inf}
+        parent: Dict[str, str] = {}
+        via: Dict[str, Link] = {}
+        routes: Dict[str, Tuple[float, float, float]] = {}
+        terms: Dict[str, Tuple[Tuple[float, ...], Tuple[float, ...]]] = {
+            source: ((), ())
+        }
+        adjacency = self._adjacency
+        heappop, heappush = heapq.heappop, heapq.heappush
+        # heapq is a min-heap, so push negated bottlenecks.
+        heap: List[Tuple[float, str]] = [(-math.inf, source)]
+        while heap:
+            neg_width, current = heappop(heap)
+            if current in routes:
+                continue
+            width = -neg_width
+            if current == source:
+                routes[current] = (width, 0, 0)
+            else:
+                link = via[current]
+                costs, delays = terms[parent[current]]
+                costs += (link.cost,)
+                delays += (link.delay_ms,)
+                terms[current] = (costs, delays)
+                routes[current] = (width, sum(costs), sum(delays))
+            if current == stop:
+                break
+            for neighbor, link in adjacency[current]:
+                if neighbor in routes:
+                    continue
+                # min(width, bandwidth), inlined: keeps width on a tie.
+                bandwidth = link.bandwidth_bps
+                candidate = bandwidth if bandwidth < width else width
+                if candidate > best.get(neighbor, -1.0):
+                    best[neighbor] = candidate
+                    parent[neighbor] = current
+                    via[neighbor] = link
+                    heappush(heap, (-candidate, neighbor))
+        return WidestTree(source, parent, routes)
+
     def widest_path(self, source: str, target: str) -> Optional[List[str]]:
         """The max-bottleneck path from ``source`` to ``target``.
 
         Returns the node sequence, or ``None`` when the nodes are
-        disconnected.  ``source == target`` yields the trivial path.
+        disconnected.  ``source == target`` yields the trivial path.  The
+        search stops as soon as ``target`` is settled.
         """
-        if source not in self._nodes:
-            raise UnknownNodeError(source)
-        if target not in self._nodes:
-            raise UnknownNodeError(target)
-        if source == target:
-            return [source]
-        # Max-bottleneck Dijkstra: widen the best-known bottleneck per node.
-        best: Dict[str, float] = {source: math.inf}
-        parent: Dict[str, str] = {}
-        # heapq is a min-heap, so push negated bottlenecks.
-        heap: List[Tuple[float, str]] = [(-math.inf, source)]
-        visited = set()
-        while heap:
-            neg_width, current = heapq.heappop(heap)
-            if current in visited:
-                continue
-            visited.add(current)
-            if current == target:
-                break
-            width = -neg_width
-            for neighbor in self._adjacency[current]:
-                if neighbor in visited:
-                    continue
-                link = self.get_link(current, neighbor)
-                candidate = min(width, link.bandwidth_bps)
-                if candidate > best.get(neighbor, -1.0):
-                    best[neighbor] = candidate
-                    parent[neighbor] = current
-                    heapq.heappush(heap, (-candidate, neighbor))
-        if target not in best:
-            return None
-        return self._unwind(parent, source, target)
+        for node_id in (source, target):
+            if node_id not in self._nodes:
+                raise UnknownNodeError(node_id)
+        return self.widest_tree(source, stop=target).path(target)
 
     def available_bandwidth(self, source: str, target: str) -> float:
         """``Bandwidth_AvailableBetween`` (Equation 2's right-hand side).
@@ -289,10 +350,9 @@ class NetworkTopology:
             visited.add(current)
             if current == target:
                 break
-            for neighbor in self._adjacency[current]:
+            for neighbor, link in self._adjacency[current]:
                 if neighbor in visited:
                     continue
-                link = self.get_link(current, neighbor)
                 if weight == "hops":
                     step = 1.0
                 elif weight == "delay":
@@ -306,7 +366,7 @@ class NetworkTopology:
                     heapq.heappush(heap, (candidate, neighbor))
         if target not in distance:
             return None
-        return self._unwind(parent, source, target)
+        return _unwind(parent, source, target)
 
     def path_delay_ms(self, path: List[str]) -> float:
         """Total one-way propagation delay along a node sequence."""
@@ -322,14 +382,6 @@ class NetworkTopology:
         for a, b in zip(path, path[1:]):
             survival *= 1.0 - self.get_link(a, b).loss_rate
         return 1.0 - survival
-
-    @staticmethod
-    def _unwind(parent: Mapping[str, str], source: str, target: str) -> List[str]:
-        path = [target]
-        while path[-1] != source:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NetworkTopology(nodes={len(self._nodes)}, links={len(self._links)})"

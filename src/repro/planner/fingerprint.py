@@ -77,28 +77,28 @@ class PlanFingerprint:
 
 
 # Content keys of the shared infrastructure are memoized per (object,
-# generation): under a batch of N requests against one unchanged world the
-# expensive tuple construction runs once, not N times.  Generation bumps
-# naturally invalidate the memo; WeakKeyDictionary keeps dead worlds from
-# pinning memory.
-_KEY_MEMO: "weakref.WeakKeyDictionary[object, Tuple[int, Tuple]]" = (
+# generation) as their canonical repr text: under a batch of N requests
+# against one unchanged world the expensive tuple construction and its repr
+# run once, not N times.  Generation bumps naturally invalidate the memo;
+# WeakKeyDictionary keeps dead worlds from pinning memory.
+_KEY_MEMO: "weakref.WeakKeyDictionary[object, Tuple[int, str]]" = (
     weakref.WeakKeyDictionary()
 )
 _KEY_MEMO_LOCK = threading.Lock()
 
 
-def _memoized_key(obj, generation: int, build: Callable[[], Tuple]) -> Tuple:
+def _memoized_key(obj, generation: int, build: Callable[[], Tuple]) -> str:
     with _KEY_MEMO_LOCK:
         entry = _KEY_MEMO.get(obj)
         if entry is not None and entry[0] == generation:
             return entry[1]
-    key = build()
+    text = repr(build())
     with _KEY_MEMO_LOCK:
-        _KEY_MEMO[obj] = (generation, key)
-    return key
+        _KEY_MEMO[obj] = (generation, text)
+    return text
 
 
-def _catalog_key(catalog: ServiceCatalog) -> Tuple:
+def _catalog_key(catalog: ServiceCatalog) -> str:
     return _memoized_key(
         catalog,
         catalog.generation,
@@ -108,7 +108,7 @@ def _catalog_key(catalog: ServiceCatalog) -> Tuple:
     )
 
 
-def _topology_key(topology: NetworkTopology) -> Tuple:
+def _topology_key(topology: NetworkTopology) -> str:
     def build() -> Tuple:
         nodes = tuple(
             (node.node_id, node.cpu_mips, node.memory_mb)
@@ -123,7 +123,7 @@ def _topology_key(topology: NetworkTopology) -> Tuple:
     return _memoized_key(topology, topology.generation, build)
 
 
-def _placement_key(placement: ServicePlacement) -> Tuple:
+def _placement_key(placement: ServicePlacement) -> str:
     return _memoized_key(
         placement,
         placement.generation,
@@ -163,7 +163,7 @@ def fingerprint_request(
         placement=placement.generation,
         reservations=ledger.generation if ledger is not None else 0,
     )
-    key = (
+    request_key = (
         user.cache_key(),
         content.cache_key(),
         device.cache_key(),
@@ -174,12 +174,20 @@ def fingerprint_request(
         tie_break.value,
         prune,
         record_trace,
+    )
+    # The repr of the whole key tuple (request parts, then catalog,
+    # topology and placement keys, then the stamp), assembled from the
+    # memoized reprs of the infrastructure parts: a tuple's repr is its
+    # items' reprs joined by ", " inside parentheses.
+    parts = [repr(item) for item in request_key]
+    parts += [
         _catalog_key(catalog),
         _topology_key(topology),
         _placement_key(placement),
-        stamp,
-    )
-    digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
+        repr(stamp),
+    ]
+    text = "(" + ", ".join(parts) + ")"
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return PlanFingerprint(digest=digest, generations=stamp)
 
 

@@ -22,9 +22,11 @@ _NUMERIC_SUFFIX = re.compile(r"^(.*?)(\d+)$")
 def service_sort_key(service_id: str) -> Tuple[str, float]:
     """Sort key treating trailing digits numerically: T2 < T10 < T20.
 
-    Pure-text ids sort after their prefix group's numbered ids would — in
-    practice the paper's ids are ``T<n>`` plus ``sender``/``receiver``, and
-    this key orders them the way the paper lists them.
+    The key is ``(prefix, number)``, and a pure-text id is its own prefix
+    with number ``-1``.  So ``T`` sorts right before ``T2`` and ``T10``,
+    and ``sender``/``receiver`` sort by plain text among the prefixes:
+    ``S1 < T < T2 < T10 < receiver < sender``.  Ids that differ only in
+    leading zeros (``T1``/``T01``) get equal keys.
     """
     match = _NUMERIC_SUFFIX.match(service_id)
     if match:

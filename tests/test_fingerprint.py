@@ -23,6 +23,7 @@ from repro.formats.variants import ContentVariant
 from repro.core.configuration import Configuration
 from repro.core.parameters import FRAME_RATE
 from repro.core.selection import TieBreakPolicy
+from repro.network.reservations import BandwidthLedger
 from repro.planner import PlanCache, fingerprint_request
 from repro.profiles.context import ContextProfile
 from repro.profiles.device import DeviceProfile
@@ -82,6 +83,21 @@ def test_same_scenario_same_fingerprint():
     scenario = generate_scenario(SyntheticConfig(seed=3, n_services=10))
     assert _fingerprint(scenario) == _fingerprint(scenario)
     assert _fingerprint(scenario).digest == _fingerprint(scenario).digest
+
+
+def test_digests_are_pinned():
+    """Golden digests: the key's canonical text must not drift across
+    changes to how it is assembled (e.g. memoized infrastructure parts)."""
+    scenario = generate_scenario(SyntheticConfig(seed=3, n_services=10))
+    assert _fingerprint(scenario).digest == (
+        "ef9d3908cd6b4016c20e52d55f91cf9d540e40d24feec237c555096f43bf07f2"
+    )
+    assert _fingerprint(
+        scenario,
+        ledger=BandwidthLedger(scenario.topology),
+        tie_break=TieBreakPolicy.ASCENDING_ID,
+        peer="p",
+    ).digest == "876b54744e99d27cdbac50c00abbb5f1311596d6f392bb76f1e9e94ca3ca79a6"
 
 
 def test_identically_generated_scenarios_share_digests():
@@ -209,8 +225,6 @@ def test_placement_mutation_changes_fingerprint():
 
 
 def test_reservation_changes_fingerprint_only_when_ledger_passed():
-    from repro.network.reservations import BandwidthLedger
-
     scenario = generate_scenario(SyntheticConfig(seed=3, n_services=10))
     ledger = BandwidthLedger(scenario.topology)
     base = _fingerprint(scenario, ledger=ledger)

@@ -167,6 +167,12 @@ class TestServiceSortKey:
         ordered = sorted(ids, key=service_sort_key)
         assert ordered.index("T2") < ordered.index("T10")
 
+    def test_pure_text_id_sorts_before_its_prefix_group(self):
+        ids = ["sender", "T10", "receiver", "T2", "T", "S1"]
+        assert sorted(ids, key=service_sort_key) == [
+            "S1", "T", "T2", "T10", "receiver", "sender"
+        ]
+
 
 class TestServiceCatalog:
     def _catalog(self):

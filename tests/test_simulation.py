@@ -223,6 +223,23 @@ class TestDeterminism:
             r2 = run_simulation(build_scenario(name, seed=3, sessions=10))
             assert r1.trace_digest == r2.trace_digest, name
 
+    @pytest.mark.parametrize(
+        "name, seed, sessions, digest",
+        [
+            ("failover-storm", 42, 60,
+             "8b06d5654d20cbb0c66af9b66150183756c5c27412bbd22bbbc17f1c1aa311e0"),
+            ("failover-storm", 0, 150,
+             "be2df6bee7b33b2b121c8f4557d035c66b72c3b193dc1c5b26142a8b87e3bbd6"),
+            ("link-churn", 42, 60,
+             "dd17ded4df9dd3bc30eedea56c9cdf9960648c1baf796d71bc568feb896ac010"),
+        ],
+    )
+    def test_golden_trace_digest(self, name, seed, sessions, digest):
+        """Pinned digests: a change anywhere in planning that moves a single
+        trace line shows up here, not only as a same-tree rerun mismatch."""
+        report = run_simulation(build_scenario(name, seed=seed, sessions=sessions))
+        assert report.trace_digest == digest
+
     def test_faults_change_the_trace(self):
         with_faults = run_simulation(
             build_scenario("failover-storm", seed=3, sessions=10)
