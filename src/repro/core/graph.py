@@ -23,7 +23,10 @@ rule and is the reference the property tests check against.
 from __future__ import annotations
 
 import math
+import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.configuration import Configuration
@@ -40,6 +43,8 @@ __all__ = ["Vertex", "Edge", "AdaptationGraph", "AdaptationGraphBuilder"]
 _SAME_HOST = (math.inf, 0.0, 0.0)
 #: The same facts for hosts with no route; such pairs form no edge.
 _DISCONNECTED = (0.0, 0.0, 0.0)
+#: Sort key of a ``(sort tuple, edge)`` pair.
+_KEY = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -153,6 +158,89 @@ class AdaptationGraph:
         self._in_edges: Dict[str, Tuple[Edge, ...]] = {
             v: tuple(es) for v, es in in_lists.items()
         }
+        # Adjacency built from arbitrary edge lists may order tied edges
+        # (twin ids, duplicate triples) in a way a filtered copy would not
+        # reproduce, so only the builder and restrict() vouch for it.
+        self._filterable = False
+
+    @classmethod
+    def _assemble(
+        cls,
+        vertices: Dict[str, Vertex],
+        ordered_ids: Tuple[str, ...],
+        out_edges: Dict[str, Tuple[Edge, ...]],
+        in_edges: Dict[str, Tuple[Edge, ...]],
+        sender_id: str,
+        receiver_id: str,
+        filterable: bool,
+    ) -> "AdaptationGraph":
+        """A graph from adjacency already in constructor order.
+
+        The caller guarantees what ``__init__`` would have derived: every
+        dict keyed in vertex insertion order, ``ordered_ids`` in natural
+        order, and each adjacency tuple sorted as ``__init__`` sorts it.
+        ``filterable`` additionally promises no duplicate
+        ``(source, target, format)`` triples and tied in-edges in vertex
+        insertion order, which makes :meth:`restrict` exact.
+        """
+        graph = cls.__new__(cls)
+        graph._vertices = vertices
+        graph.sender_id = sender_id
+        graph.receiver_id = receiver_id
+        graph._ordered_ids = ordered_ids
+        graph._vertex_rank = {
+            service_id: rank for rank, service_id in enumerate(ordered_ids)
+        }
+        graph._out_edges = out_edges
+        graph._in_edges = in_edges
+        graph._filterable = filterable
+        return graph
+
+    @property
+    def filterable(self) -> bool:
+        """Can :meth:`restrict` derive subgraphs from this graph's adjacency?"""
+        return self._filterable
+
+    def restrict(self, keep: Set[str]) -> "AdaptationGraph":
+        """The subgraph on ``keep`` without its zero-bandwidth edges.
+
+        Bit-identical to constructing a graph from the kept vertices (in
+        :meth:`vertices` order) and the kept edges (in :meth:`edges`
+        order), but it filters the frozen adjacency instead of sorting it
+        again.  Only valid on a :attr:`filterable` graph.
+        """
+        if not self._filterable:
+            raise GraphConstructionError("adjacency is not filterable")
+        for endpoint_id, role in (
+            (self.sender_id, "sender"),
+            (self.receiver_id, "receiver"),
+        ):
+            if endpoint_id not in keep:
+                raise GraphConstructionError(f"{role} vertex {endpoint_id!r} missing")
+        ordered = tuple(v for v in self._ordered_ids if v in keep)
+        return AdaptationGraph._assemble(
+            {v: self._vertices[v] for v in ordered},
+            ordered,
+            {
+                v: tuple(
+                    e
+                    for e in self._out_edges[v]
+                    if e.target in keep and e.bandwidth_bps > 0.0
+                )
+                for v in ordered
+            },
+            {
+                v: tuple(
+                    e
+                    for e in self._in_edges[v]
+                    if e.source in keep and e.bandwidth_bps > 0.0
+                )
+                for v in ordered
+            },
+            self.sender_id,
+            self.receiver_id,
+            filterable=True,
+        )
 
     # ------------------------------------------------------------------
     # Lookup
@@ -298,6 +386,141 @@ class AdaptationGraph:
         )
 
 
+class _Skeleton:
+    """The request-independent part of every graph over one catalog and
+    placement.
+
+    ``transcoders`` are the placed (and, when checked, runnable) transcoder
+    vertices in catalog order, ``ordered_ids`` their ids in natural order
+    and ``order`` the matching ``(sort key, insertion index)`` pairs, where
+    the sender and receiver take indices 0 and 1.  ``slots`` are the
+    transcoder→transcoder edge candidates in generation order: one per
+    (producer, consumer, shared format) occurrence.  ``out_slots`` and
+    ``in_slots`` hold each transcoder's slot indices sorted as
+    :class:`AdaptationGraph` sorts its adjacency, and ``out_keys`` and
+    ``in_keys`` the sort tuples endpoint edges are bisected into:
+
+    - out-edges of P: ``(key(target), format, k, j)`` — the k-th entry of
+      P's output formats, and the consumer's 1-based place among that
+      format's consumers (the receiver, generated first, takes 0);
+    - in-edges of C: ``(key(source), format, 1, slot)`` — the sender's
+      edges, generated first, use ``(key, format, 0, n)``.
+    """
+
+    def __init__(
+        self,
+        catalog: ServiceCatalog,
+        placement: ServicePlacement,
+        check_resources: bool,
+        reference_input_bps: float,
+    ) -> None:
+        self.generation = (catalog.generation, placement.generation)
+        #: Every transcoder id, placed or not, by catalog position; any
+        #: endpoint id among them is a collision.
+        self.catalog_ids: Dict[str, int] = {}
+        self.transcoders: List[Vertex] = []
+        topology = placement.topology
+        for index, descriptor in enumerate(catalog.transcoders()):
+            self.catalog_ids[descriptor.service_id] = index
+            if not placement.is_placed(descriptor.service_id):
+                continue  # Unplaced services cannot carry traffic.
+            node_id = placement.node_of(descriptor.service_id)
+            if check_resources:
+                node = topology.get_node(node_id)
+                if not (
+                    descriptor.cpu_required(reference_input_bps) <= node.cpu_mips
+                    and descriptor.memory_mb <= node.memory_mb
+                ):
+                    continue
+            self.transcoders.append(Vertex(service=descriptor, node_id=node_id))
+
+        self.keys: Dict[str, Tuple[str, float]] = {
+            v.service_id: service_sort_key(v.service_id) for v in self.transcoders
+        }
+        self.order = sorted(
+            (self.keys[v.service_id], index + 2)
+            for index, v in enumerate(self.transcoders)
+        )
+        self.ordered_ids = [self.transcoders[i - 2].service_id for _, i in self.order]
+        #: No vertex lists a format twice, so no edge triple repeats.
+        self.distinct_formats = all(
+            len(set(v.service.input_formats)) == len(v.service.input_formats)
+            and len(set(v.service.output_formats)) == len(v.service.output_formats)
+            for v in self.transcoders
+        )
+
+        self.consumers_of: Dict[str, List[Vertex]] = {}
+        for vertex in self.transcoders:
+            for fmt in vertex.service.input_formats:
+                self.consumers_of.setdefault(fmt, []).append(vertex)
+
+        #: ``(source, target, format, source host, target host)`` per slot.
+        self.slots: List[Tuple[str, str, str, str, str]] = []
+        out_keyed: Dict[str, List[Tuple[Tuple, int]]] = {}
+        in_keyed: Dict[str, List[Tuple[Tuple, int]]] = {
+            v.service_id: [] for v in self.transcoders
+        }
+        for producer in self.transcoders:
+            keyed = out_keyed[producer.service_id] = []
+            producer_key = self.keys[producer.service_id]
+            for k, fmt in enumerate(producer.service.output_formats):
+                for j, consumer in enumerate(self.consumers_of.get(fmt, ()), 1):
+                    if consumer is producer:
+                        continue
+                    slot = len(self.slots)
+                    self.slots.append(
+                        (
+                            producer.service_id,
+                            consumer.service_id,
+                            fmt,
+                            producer.node_id,
+                            consumer.node_id,
+                        )
+                    )
+                    keyed.append(((self.keys[consumer.service_id], fmt, k, j), slot))
+                    in_keyed[consumer.service_id].append(
+                        ((producer_key, fmt, 1, slot), slot)
+                    )
+        self.out_slots: Dict[str, List[int]] = {}
+        self.out_keys: Dict[str, List[Tuple]] = {}
+        for service_id, keyed in out_keyed.items():
+            keyed.sort()
+            self.out_keys[service_id] = [key for key, _ in keyed]
+            self.out_slots[service_id] = [slot for _, slot in keyed]
+        self.in_slots: Dict[str, List[int]] = {}
+        self.in_keys: Dict[str, List[Tuple]] = {}
+        for service_id, keyed in in_keyed.items():
+            keyed.sort()
+            self.in_keys[service_id] = [key for key, _ in keyed]
+            self.in_slots[service_id] = [slot for _, slot in keyed]
+
+
+def _spliced(
+    slots: List[int],
+    slot_edges: List[Optional[Edge]],
+    keys: List[Tuple],
+    extra: List[Tuple[Tuple, Edge]],
+) -> Tuple[Edge, ...]:
+    """The live slot edges in order, with ``extra`` bisected in by key."""
+    if not extra:
+        return tuple(
+            edge for edge in map(slot_edges.__getitem__, slots) if edge is not None
+        )
+    merged: List[Edge] = []
+    cut = 0
+    for key, edge in sorted(extra, key=_KEY):
+        position = bisect_left(keys, key)
+        merged.extend(
+            e for e in map(slot_edges.__getitem__, slots[cut:position]) if e is not None
+        )
+        merged.append(edge)
+        cut = position
+    merged.extend(
+        e for e in map(slot_edges.__getitem__, slots[cut:]) if e is not None
+    )
+    return tuple(merged)
+
+
 class AdaptationGraphBuilder:
     """Builds the adaptation graph from profiles + catalog (Section 4.2).
 
@@ -305,6 +528,15 @@ class AdaptationGraphBuilder:
     then connect the outgoing edges of the sender with all the input edges
     of all other vertices that have the same format.  The same process is
     repeated for all vertices."
+
+    Everything that depends only on the catalog and the placement — the
+    transcoder vertices, their natural order, and the transcoder→transcoder
+    edge slots in adjacency order — forms a skeleton built once per
+    (catalog, placement) generation and shared by every :meth:`build`.
+    Each build adds the session's sender and receiver, splices their
+    edges into the pre-sorted slots, and fills in every edge's route facts
+    from the current topology.  A builder shared between sessions is
+    thread-safe.
     """
 
     def __init__(
@@ -318,6 +550,20 @@ class AdaptationGraphBuilder:
         self._placement = placement
         self._check_resources = check_resources
         self._reference_input_bps = reference_input_bps
+        self._skeleton: Optional[_Skeleton] = None
+        self._skeleton_lock = threading.Lock()
+
+    def _current_skeleton(self) -> _Skeleton:
+        generation = (self._catalog.generation, self._placement.generation)
+        with self._skeleton_lock:
+            if self._skeleton is None or self._skeleton.generation != generation:
+                self._skeleton = _Skeleton(
+                    self._catalog,
+                    self._placement,
+                    self._check_resources,
+                    self._reference_input_bps,
+                )
+            return self._skeleton
 
     def build(
         self,
@@ -333,6 +579,11 @@ class AdaptationGraphBuilder:
 
         ``context_caps`` (from the context profile) merge into the
         receiver's rendering caps — the context can only tighten them.
+
+        Edge facts come from one single-source widest tree per distinct
+        producer host, kept for this call only.  Trees are per direction:
+        a→b and b→a may tie-break onto different routes, so their cost and
+        delay can differ.
         """
         topology = self._placement.topology
         if sender_node not in topology:
@@ -353,93 +604,143 @@ class AdaptationGraphBuilder:
             kind=ServiceKind.RECEIVER,
             description=f"rendering device {device.device_id!r}",
         )
+        sender = Vertex(
+            service=sender_descriptor,
+            node_id=sender_node,
+            source_configurations={
+                variant.format.name: variant.configuration
+                for variant in content.variants
+            },
+        )
+        receiver = Vertex(service=receiver_descriptor, node_id=receiver_node)
 
-        vertices: List[Vertex] = [
-            Vertex(
-                service=sender_descriptor,
-                node_id=sender_node,
-                source_configurations={
-                    variant.format.name: variant.configuration
-                    for variant in content.variants
-                },
-            ),
-            Vertex(service=receiver_descriptor, node_id=receiver_node),
+        skeleton = self._current_skeleton()
+        collisions = [
+            endpoint_id
+            for endpoint_id in (sender_id, receiver_id)
+            if endpoint_id in skeleton.catalog_ids
         ]
-        for descriptor in self._catalog.transcoders():
-            if descriptor.service_id in (sender_id, receiver_id):
-                raise GraphConstructionError(
-                    f"catalog service id {descriptor.service_id!r} collides "
-                    f"with an endpoint id"
-                )
-            if not self._placement.is_placed(descriptor.service_id):
-                continue  # Unplaced services cannot carry traffic.
-            if self._check_resources and not self._host_can_run(descriptor):
-                continue
-            vertices.append(
-                Vertex(
-                    service=descriptor,
-                    node_id=self._placement.node_of(descriptor.service_id),
-                )
+        if collisions:
+            first = min(collisions, key=skeleton.catalog_ids.__getitem__)
+            raise GraphConstructionError(
+                f"catalog service id {first!r} collides with an endpoint id"
             )
+        if sender_id == receiver_id:
+            raise GraphConstructionError(f"duplicate vertex {receiver_id!r}")
 
-        edges = self._connect(vertices)
-        return AdaptationGraph(vertices, edges, sender_id, receiver_id)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _host_can_run(self, descriptor: ServiceDescriptor) -> bool:
-        node = self._placement.topology.get_node(
-            self._placement.node_of(descriptor.service_id)
-        )
-        return (
-            descriptor.cpu_required(self._reference_input_bps) <= node.cpu_mips
-            and descriptor.memory_mb <= node.memory_mb
-        )
-
-    def _connect(self, vertices: Sequence[Vertex]) -> List[Edge]:
-        """Create one edge per (producer, consumer, shared format) triple.
-
-        Edge facts come from one single-source widest tree per distinct
-        producer host, kept for this call only.  Trees are per direction:
-        a→b and b→a may tie-break onto different routes, so their cost and
-        delay can differ.
-        """
-        topology = self._placement.topology
-        edges: List[Edge] = []
         routes_from: Dict[str, Mapping[str, Tuple[float, float, float]]] = {}
 
-        consumers_of: Dict[str, List[Vertex]] = {}
-        for vertex in vertices:
-            for fmt in vertex.service.input_formats:
-                consumers_of.setdefault(fmt, []).append(vertex)
-
-        for producer in vertices:
-            host = producer.node_id
+        def facts(host: str, other: str) -> Tuple[float, float, float]:
+            if other == host:
+                return _SAME_HOST
             routes = routes_from.get(host)
-            for fmt in producer.service.output_formats:
-                for consumer in consumers_of.get(fmt, ()):
-                    if consumer is producer:
-                        continue
-                    if consumer.node_id == host:
-                        bandwidth, cost, delay = _SAME_HOST
-                    else:
-                        if routes is None:
-                            routes = topology.widest_tree(host).routes
-                            routes_from[host] = routes
-                        bandwidth, cost, delay = routes.get(
-                            consumer.node_id, _DISCONNECTED
-                        )
-                    if bandwidth <= 0.0:
-                        continue  # Disconnected hosts cannot form an edge.
-                    edges.append(
-                        Edge(
-                            source=producer.service_id,
-                            target=consumer.service_id,
-                            format_name=fmt,
-                            bandwidth_bps=bandwidth,
-                            transmission_cost=cost,
-                            delay_ms=delay,
-                        )
+            if routes is None:
+                routes = routes_from[host] = topology.widest_tree(host).routes
+            return routes.get(other, _DISCONNECTED)
+
+        # Transcoder→transcoder slots; disconnected hosts form no edge.
+        slot_edges: List[Optional[Edge]] = []
+        for source, target, fmt, host, other in skeleton.slots:
+            bandwidth, cost, delay = facts(host, other)
+            slot_edges.append(
+                Edge(source, target, fmt, bandwidth, cost, delay)
+                if bandwidth > 0.0
+                else None
+            )
+
+        # Endpoint edges, in generation order: the sender's first, then
+        # each transcoder's edges into the receiver.
+        keys = skeleton.keys
+        sender_key = service_sort_key(sender_id)
+        receiver_key = service_sort_key(receiver_id)
+        decoders = set(receiver_descriptor.input_formats)
+        sender_out: List[Tuple[Tuple, Edge]] = []
+        receiver_in: List[Tuple[Tuple, Edge]] = []
+        into: Dict[str, List[Tuple[Tuple, Edge]]] = {}
+        generated = 0
+        for fmt in sender_descriptor.output_formats:
+            consumers = skeleton.consumers_of.get(fmt, [])
+            if fmt in decoders:
+                consumers = [receiver] + consumers
+            for consumer in consumers:
+                bandwidth, cost, delay = facts(sender_node, consumer.node_id)
+                if bandwidth <= 0.0:
+                    continue
+                edge = Edge(
+                    sender_id, consumer.service_id, fmt, bandwidth, cost, delay
+                )
+                target_key = (
+                    receiver_key if consumer is receiver else keys[consumer.service_id]
+                )
+                sender_out.append(((target_key, fmt, generated), edge))
+                if consumer is receiver:
+                    receiver_in.append(((sender_key, fmt, generated), edge))
+                else:
+                    into.setdefault(consumer.service_id, []).append(
+                        ((sender_key, fmt, 0, generated), edge)
                     )
-        return edges
+                generated += 1
+        out_of: Dict[str, List[Tuple[Tuple, Edge]]] = {}
+        for producer in skeleton.transcoders:
+            for k, fmt in enumerate(producer.service.output_formats):
+                if fmt not in decoders:
+                    continue
+                bandwidth, cost, delay = facts(producer.node_id, receiver_node)
+                if bandwidth <= 0.0:
+                    continue
+                edge = Edge(
+                    producer.service_id, receiver_id, fmt, bandwidth, cost, delay
+                )
+                out_of.setdefault(producer.service_id, []).append(
+                    ((receiver_key, fmt, k, 0), edge)
+                )
+                receiver_in.append(
+                    ((keys[producer.service_id], fmt, generated), edge)
+                )
+                generated += 1
+
+        vertices: Dict[str, Vertex] = {sender_id: sender, receiver_id: receiver}
+        out_edges: Dict[str, Tuple[Edge, ...]] = {
+            sender_id: tuple(edge for _, edge in sorted(sender_out, key=_KEY)),
+            receiver_id: (),
+        }
+        in_edges: Dict[str, Tuple[Edge, ...]] = {
+            sender_id: (),
+            receiver_id: tuple(edge for _, edge in sorted(receiver_in, key=_KEY)),
+        }
+        for vertex in skeleton.transcoders:
+            service_id = vertex.service_id
+            vertices[service_id] = vertex
+            out_edges[service_id] = _spliced(
+                skeleton.out_slots[service_id],
+                slot_edges,
+                skeleton.out_keys[service_id],
+                out_of.get(service_id, []),
+            )
+            in_edges[service_id] = _spliced(
+                skeleton.in_slots[service_id],
+                slot_edges,
+                skeleton.in_keys[service_id],
+                into.get(service_id, []),
+            )
+
+        ordered_ids = list(skeleton.ordered_ids)
+        for key, index, service_id in sorted(
+            [(sender_key, 0, sender_id), (receiver_key, 1, receiver_id)],
+            reverse=True,
+        ):
+            ordered_ids.insert(bisect_left(skeleton.order, (key, index)), service_id)
+        return AdaptationGraph._assemble(
+            vertices,
+            tuple(ordered_ids),
+            out_edges,
+            in_edges,
+            sender_id,
+            receiver_id,
+            filterable=(
+                skeleton.distinct_formats
+                and len(decoders) == len(receiver_descriptor.input_formats)
+                and len(set(sender_descriptor.output_formats))
+                == len(sender_descriptor.output_formats)
+            ),
+        )

@@ -57,7 +57,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.configuration import Configuration
-from repro.core.parameters import DiscreteDomain, ParameterSet
+from repro.core.parameters import (
+    AUDIO_QUALITY,
+    COLOR_DEPTH,
+    FRAME_RATE,
+    RESOLUTION,
+    DiscreteDomain,
+    ParameterSet,
+)
 from repro.core.satisfaction import CombinedSatisfaction
 from repro.errors import UnknownParameterError, ValidationError
 from repro.formats.format import MediaFormat
@@ -409,37 +416,53 @@ class ConfigurationOptimizer:
         """Largest feasible point on the ray lower → start.
 
         Only preference parameters move; free parameters already sit where
-        phase 1 left them.
+        phase 1 left them.  The steps run on one plain dict of floats —
+        the values a :class:`Configuration` would hold — and evaluate
+        Equation 2 with the expression
+        :meth:`Configuration.required_bandwidth` uses, so only the answer
+        is allocated.
         """
         preference = set(self._satisfaction.parameter_names())
-        moving = [n for n in start if n in preference]
+        values = start.as_dict()
+        moving = [
+            (name, lower[name], values[name] - lower[name],
+             self._parameters[name].clamp_down)
+            for name in values
+            if name in preference
+        ]
+        limit = bandwidth * _FIT_SLACK
+        get = values.get
+        required_bandwidth = fmt.required_bandwidth
 
-        def at(t: float) -> Configuration:
-            values = start.as_dict()
-            for name in moving:
-                raw = lower[name] + t * (start[name] - lower[name])
-                snapped = self._parameters[name].clamp_down(raw)
-                values[name] = lower[name] if snapped is None else snapped
-            return Configuration(values)
+        def required_at(t: float) -> float:
+            """Move ``values`` to ray position ``t``; its requirement."""
+            for name, low, span, clamp_down in moving:
+                snapped = clamp_down(low + t * span)
+                values[name] = float(low if snapped is None else snapped)
+            return required_bandwidth(
+                get(FRAME_RATE, 0.0),
+                get(RESOLUTION, 0.0),
+                get(COLOR_DEPTH, 0.0),
+                get(AUDIO_QUALITY, 0.0),
+            )
 
-        low_t, high_t = 0.0, 1.0
-        if at(0.0).required_bandwidth(fmt) > bandwidth * _FIT_SLACK:
+        if required_at(0.0) > limit:
             # Even the floor does not fit with the free parameters as they
             # are; push them to their lower bounds too and retry from there.
-            values = start.as_dict()
-            for name in start:
+            for name in values:
                 if name not in preference:
-                    values[name] = lower[name]
-            start = Configuration(values)
-            if at(0.0).required_bandwidth(fmt) > bandwidth * _FIT_SLACK:
-                return at(0.0)
+                    values[name] = float(lower[name])
+            if required_at(0.0) > limit:
+                return Configuration(values)
+        low_t, high_t = 0.0, 1.0
         for _ in range(_BISECTION_STEPS):
             mid = (low_t + high_t) / 2.0
-            if at(mid).fits_bandwidth(fmt, bandwidth):
+            if required_at(mid) <= limit:
                 low_t = mid
             else:
                 high_t = mid
-        return at(low_t)
+        required_at(low_t)
+        return Configuration(values)
 
     # ------------------------------------------------------------------
     # Phase 3: greedy polish

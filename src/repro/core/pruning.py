@@ -23,7 +23,7 @@ tests verify by comparing exhaustive search results before and after.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.core.graph import AdaptationGraph, Edge
 
@@ -69,6 +69,25 @@ class GraphPruner:
         keep.add(graph.sender_id)
         keep.add(graph.receiver_id)
 
+        if graph.filterable:
+            pruned = graph.restrict(keep)
+        else:
+            pruned = self._rebuild(graph, keep)
+        report = PruningReport(
+            vertices_before=vertices_before,
+            vertices_after=len(pruned),
+            edges_before=edges_before,
+            edges_after=pruned.edge_count(),
+        )
+        return pruned, report
+
+    def _rebuild(self, graph: AdaptationGraph, keep: Set[str]) -> AdaptationGraph:
+        """The reduced graph through the constructor's sorts.
+
+        The general path: it also resolves duplicate edge triples (by
+        dominance), which a :attr:`~AdaptationGraph.filterable` graph
+        never has.
+        """
         surviving_vertices = [v for v in graph.vertices() if v.service_id in keep]
 
         best_edge: Dict[Tuple[str, str, str], Edge] = {}
@@ -81,21 +100,12 @@ class GraphPruner:
             incumbent = best_edge.get(key)
             if incumbent is None or self._dominates(edge, incumbent):
                 best_edge[key] = edge
-        surviving_edges = list(best_edge.values())
-
-        pruned = AdaptationGraph(
+        return AdaptationGraph(
             surviving_vertices,
-            surviving_edges,
+            list(best_edge.values()),
             graph.sender_id,
             graph.receiver_id,
         )
-        report = PruningReport(
-            vertices_before=vertices_before,
-            vertices_after=len(pruned),
-            edges_before=edges_before,
-            edges_after=pruned.edge_count(),
-        )
-        return pruned, report
 
     @staticmethod
     def _dominates(challenger: Edge, incumbent: Edge) -> bool:

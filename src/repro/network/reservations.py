@@ -76,6 +76,8 @@ class BandwidthLedger:
         self._ids = itertools.count(1)
         self._lock = threading.RLock()
         self._generation = 0
+        #: Per link, the generation of the last reserve / release on it.
+        self._touched: Dict[Tuple[str, str], int] = {}
 
     @property
     def topology(self) -> NetworkTopology:
@@ -104,6 +106,26 @@ class BandwidthLedger:
         """Capacity remaining on one link."""
         link = self._topology.get_link(a, b)
         return max(0.0, link.bandwidth_bps - self.reserved_on(a, b))
+
+    def touched_since(
+        self, generation: int
+    ) -> Tuple[List[Tuple[str, str]], int]:
+        """Links whose reservations changed after ``generation``.
+
+        Returns the canonical ``(a, b)`` keys together with the current
+        generation, read under one lock, so a caller that keeps a patched
+        copy of the residuals can pass that generation back next time and
+        miss no change.
+        """
+        with self._lock:
+            return (
+                [
+                    key
+                    for key, touched in self._touched.items()
+                    if touched > generation
+                ],
+                self._generation,
+            )
 
     def active_reservations(self) -> List[Reservation]:
         with self._lock:
@@ -176,9 +198,11 @@ class BandwidthLedger:
                         f"link {a}--{b} has {self.residual(a, b):.0f} bps "
                         f"residual, cannot reserve {bandwidth_bps:.0f}"
                     )
+            self._generation += 1
             for a, b in pairs:
                 key = _canonical(a, b)
                 self._reserved[key] = self._reserved.get(key, 0.0) + bandwidth_bps
+                self._touched[key] = self._generation
             reservation = Reservation(
                 reservation_id=next(self._ids),
                 route=tuple(route),
@@ -186,7 +210,6 @@ class BandwidthLedger:
                 label=label,
             )
             self._active[reservation.reservation_id] = reservation
-            self._generation += 1
             return reservation
 
     def reserve_group(
@@ -232,13 +255,14 @@ class BandwidthLedger:
                     f"reservation {reservation.reservation_id} is not active"
                 )
             del self._active[reservation.reservation_id]
+            self._generation += 1
             for key in reservation.links():
                 remaining = self._reserved.get(key, 0.0) - reservation.bandwidth_bps
                 if remaining <= 1e-9:
                     self._reserved.pop(key, None)
                 else:
                     self._reserved[key] = remaining
-            self._generation += 1
+                self._touched[key] = self._generation
 
     def __len__(self) -> int:
         with self._lock:

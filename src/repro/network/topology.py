@@ -144,7 +144,8 @@ class NetworkTopology:
 
     @property
     def generation(self) -> int:
-        """Monotonic mutation counter (bumped on node/link additions).
+        """Monotonic mutation counter (bumped on node/link additions and
+        bandwidth changes).
 
         Plan fingerprints embed this counter so a cached plan can never
         outlive the topology it was computed on.
@@ -196,6 +197,26 @@ class NetworkTopology:
     ) -> Link:
         """Create-and-add convenience wrapper around :meth:`add_link`."""
         return self.add_link(Link(a, b, bandwidth_bps, delay_ms, loss_rate, cost))
+
+    def set_bandwidth(self, a: str, b: str, bandwidth_bps: float) -> Link:
+        """Replace one link's bandwidth in place, keeping every other field.
+
+        The new :class:`Link` takes the old one's slot in the link map and
+        in both endpoints' adjacency lists, so iteration order (and with it
+        every routing tie-break) is exactly that of a topology built with
+        the new value from the start.  Bumps the generation.
+        """
+        old = self.get_link(a, b)
+        new = Link(old.a, old.b, bandwidth_bps, old.delay_ms, old.loss_rate, old.cost)
+        self._links[_canonical(a, b)] = new
+        for end, other in ((old.a, old.b), (old.b, old.a)):
+            adjacency = self._adjacency[end]
+            for index, (_neighbor, link) in enumerate(adjacency):
+                if link is old:
+                    adjacency[index] = (other, new)
+                    break
+        self._generation += 1
+        return new
 
     # ------------------------------------------------------------------
     # Lookup

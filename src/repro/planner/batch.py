@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.graph import AdaptationGraphBuilder
 from repro.core.optimizer import OptimizeMemo
 from repro.core.parameters import ParameterSet
 from repro.core.selection import TieBreakPolicy
@@ -105,6 +106,10 @@ class BatchPlanner:
         self._optimize_memo = (
             optimize_memo if optimize_memo is not None else OptimizeMemo()
         )
+        # One graph builder shared the same way: it keeps the transcoder
+        # skeleton of this catalog and placement, so cache misses build
+        # only their endpoint edges and per-build route facts.
+        self._graph_builder = AdaptationGraphBuilder(catalog, placement)
         # Policy pass ahead of the selector (repro.policy).  Fast-path
         # answers live in the engine's own cache namespace; tier-forced
         # requests plan through per-tier sub-planners built lazily below
@@ -183,17 +188,32 @@ class BatchPlanner:
             record_trace=self._record_trace,
         )
 
+    def purge_stale(self) -> int:
+        """Drop cached plans computed at older infrastructure generations.
+
+        Covers the tier sub-planners' caches too; returns how many plans
+        were dropped.
+        """
+        dropped = self._cache.purge_stale(self.current_stamp())
+        with self._tier_lock:
+            tiers = list(self._tier_planners.values())
+        return dropped + sum(planner.purge_stale() for planner in tiers)
+
     def plan_uncached(self, request: PlanRequest) -> SessionPlan:
         """Plan one session from scratch (no cache lookup or insert).
 
-        Deliberately bypasses the shared optimize() memo as well: this is
-        the from-scratch baseline the batch-planner bench measures against,
-        so it must pay full planning cost every time.
+        Deliberately bypasses the shared optimize() memo and the shared
+        graph builder as well: this is the from-scratch baseline the
+        batch-planner bench measures against, so it must pay full planning
+        cost every time.
         """
-        return self._plan_fresh(request, optimize_memo=None)
+        return self._plan_fresh(request, optimize_memo=None, graph_builder=None)
 
     def _plan_fresh(
-        self, request: PlanRequest, optimize_memo: Optional[OptimizeMemo]
+        self,
+        request: PlanRequest,
+        optimize_memo: Optional[OptimizeMemo],
+        graph_builder: Optional[AdaptationGraphBuilder],
     ) -> SessionPlan:
         session = AdaptationSession(
             registry=self._registry,
@@ -210,6 +230,7 @@ class BatchPlanner:
             prune=self._prune,
             record_trace=self._record_trace,
             optimize_memo=optimize_memo,
+            graph_builder=graph_builder,
         )
         return session.plan(peer=request.peer)
 
@@ -272,7 +293,11 @@ class BatchPlanner:
         hit = fingerprint in self._cache
         plan = self._cache.get_or_compute(
             fingerprint,
-            lambda: self._plan_fresh(request, optimize_memo=self._optimize_memo),
+            lambda: self._plan_fresh(
+                request,
+                optimize_memo=self._optimize_memo,
+                graph_builder=self._graph_builder,
+            ),
         )
         return plan, hit
 
@@ -326,7 +351,7 @@ class BatchPlanner:
         if not requests:
             return []
         if use_cache:
-            self._cache.purge_stale(self.current_stamp())
+            self.purge_stale()
             planner = self.plan
         else:
             planner = self.plan_uncached

@@ -80,6 +80,7 @@ class AdaptationSession:
         prune: bool = True,
         record_trace: bool = True,
         optimize_memo=None,
+        graph_builder: Optional[AdaptationGraphBuilder] = None,
     ) -> None:
         self._registry = registry
         self._parameters = parameters
@@ -97,6 +98,9 @@ class AdaptationSession:
         #: Optional shared :class:`~repro.core.optimizer.OptimizeMemo`;
         #: lets a batch planner reuse solved relaxations across sessions.
         self._optimize_memo = optimize_memo
+        #: Optional shared builder over this catalog and placement; lets a
+        #: batch planner reuse the graph skeleton across sessions.
+        self._graph_builder = graph_builder
 
     # ------------------------------------------------------------------
     # Planning
@@ -137,7 +141,9 @@ class AdaptationSession:
         return cache.get_or_compute(fingerprint, lambda: self._plan_fresh(peer))
 
     def _plan_fresh(self, peer: Optional[str] = None) -> SessionPlan:
-        builder = AdaptationGraphBuilder(self._catalog, self._placement)
+        builder = self._graph_builder or AdaptationGraphBuilder(
+            self._catalog, self._placement
+        )
         graph = builder.build(
             content=self._content,
             device=self._device,

@@ -14,13 +14,21 @@ A :class:`SimWorld` owns everything the concurrent sessions contend over:
   relaxations exactly as a :class:`~repro.planner.batch.BatchPlanner`
   batch would.
 
-Planning goes through the existing planner stack: the world snapshots an
-*effective residual* topology (base capacity x fault factor, minus
-reservations), filters crashed services out of the catalog, and hands the
-snapshot to a :class:`BatchPlanner`.  Snapshots are cached per
-``(fault generation, ledger generation)`` pair, so a burst of arrivals
-against unchanged state shares one planner — and its plan cache — while
-any fault or reservation invalidates it.
+Planning goes through the existing planner stack over one **live residual
+view**: a topology whose capacities are the effective residuals (base
+capacity x fault factor, minus reservations), plus the catalog with
+crashed and quarantined services filtered out, its placement and a
+:class:`BatchPlanner` with its plan cache.  The view's topology is built
+once per fault generation.  Reservations and releases never rebuild it:
+before each plan and each hop route the world asks the ledger which links
+changed and patches just those links, each recomputed from the ledger
+exactly as :meth:`SimWorld.effective_topology` computes it (never as an
+accumulated delta, so the view stays bit-identical to a fresh snapshot).
+The catalog, placement and planner persist across reservations and are
+rebuilt only when the fault generation, the health generation or the
+quarantine set moves.  A patch bumps the view topology's generation, which
+every plan fingerprint embeds, so a cached plan never outlives the
+residuals it was computed on; stale entries are purged at each patch.
 """
 
 from __future__ import annotations
@@ -85,8 +93,14 @@ class SimWorld:
         self._memo = optimize_memo if optimize_memo is not None else OptimizeMemo()
         self._plan_cache_size = plan_cache_size
         self._generation = 0
+        # The live residual view: its topology (per fault generation,
+        # patched per ledger move) and its planner (per fault generation,
+        # health generation and quarantine set).
+        self._view: Optional[NetworkTopology] = None
+        self._view_generation = -1
+        self._view_ledger = 0
         self._planner: Optional[BatchPlanner] = None
-        self._planner_key: Optional[Tuple[int, int, int, frozenset]] = None
+        self._planner_key: Optional[Tuple[int, int, frozenset]] = None
         # Gray-failure overlay: services that silently drop a fraction of
         # attempts without touching the fault generation — only a health
         # registry (if attached) can learn about them through outcomes.
@@ -235,13 +249,6 @@ class SimWorld:
             _canonical(link.a, link.b), 1.0
         )
 
-    def effective_residual(self, a: str, b: str) -> float:
-        """Effective capacity minus current reservations, floored at 0."""
-        link = self.scenario.topology.get_link(a, b)
-        return max(
-            0.0, self.effective_capacity(link) - self.ledger.reserved_on(a, b)
-        )
-
     def supply_fraction(self, route: Tuple[str, ...]) -> float:
         """How much of its reserved bandwidth a stream on ``route`` gets.
 
@@ -264,6 +271,13 @@ class SimWorld:
     # ------------------------------------------------------------------
     # Snapshot planning
     # ------------------------------------------------------------------
+    def _residual(self, link: Link) -> float:
+        """Effective capacity minus current reservations, floored at 0."""
+        return max(
+            0.0,
+            self.effective_capacity(link) - self.ledger.reserved_on(link.a, link.b),
+        )
+
     def effective_topology(self) -> NetworkTopology:
         """A fresh topology whose capacities are the effective residuals."""
         snapshot = NetworkTopology()
@@ -274,11 +288,7 @@ class SimWorld:
                 Link(
                     a=link.a,
                     b=link.b,
-                    bandwidth_bps=max(
-                        0.0,
-                        self.effective_capacity(link)
-                        - self.ledger.reserved_on(link.a, link.b),
-                    ),
+                    bandwidth_bps=self._residual(link),
                     delay_ms=link.delay_ms,
                     loss_rate=link.loss_rate,
                     cost=link.cost,
@@ -286,29 +296,47 @@ class SimWorld:
             )
         return snapshot
 
-    def _snapshot_planner(self) -> BatchPlanner:
-        """The planner for the current (fault, ledger) generation pair.
+    def _residual_view(self) -> NetworkTopology:
+        """The live residual topology, current with the faults and ledger.
 
-        Rebuilt lazily whenever either generation moves; the shared
-        optimize memo carries solved relaxations across rebuilds, and each
-        snapshot gets its *own* plan cache (fingerprints embed generation
-        counters of the snapshot objects, which restart per snapshot, so a
-        cache must never outlive its snapshot).
+        Rebuilt from :meth:`effective_topology` only when the fault
+        generation moved.  Otherwise every link the ledger touched since
+        the last call is patched in place with its residual recomputed
+        from the ledger, and the view planner's stale plans are purged.
         """
+        if self._view is None or self._view_generation != self._generation:
+            self._view = self.effective_topology()
+            self._view_generation = self._generation
+            self._view_ledger = self.ledger.generation
+            self._planner = None
+            return self._view
+        if self._view_ledger != self.ledger.generation:
+            touched, self._view_ledger = self.ledger.touched_since(
+                self._view_ledger
+            )
+            base = self.scenario.topology
+            for a, b in touched:
+                self._view.set_bandwidth(a, b, self._residual(base.get_link(a, b)))
+            if touched and self._planner is not None:
+                self._planner.purge_stale()
+        return self._view
+
+    def _snapshot_planner(self) -> BatchPlanner:
+        """The live view's planner for the current fault and health state.
+
+        Rebuilt when the fault generation, the health generation or the
+        quarantine set moves; reservations only patch its topology.  The
+        shared optimize memo carries solved relaxations across rebuilds.
+        """
+        topology = self._residual_view()
         quarantined: frozenset = frozenset()
         health_generation = 0
         if self._health is not None:
             quarantined = self._health.quarantined(self._clock())
             health_generation = self._health.generation
-        key = (
-            self._generation,
-            self.ledger.generation,
-            health_generation,
-            quarantined,
-        )
+        key = (self._generation, health_generation, quarantined)
         if self._planner is not None and self._planner_key == key:
             return self._planner
-        topology = self.effective_topology()
         alive = [
             descriptor
             for descriptor in self.scenario.catalog
@@ -361,9 +389,10 @@ class SimWorld:
     ) -> Optional[List[HopLease]]:
         """Reserve every hop of a successful plan; all-or-nothing.
 
-        Each hop routes along the widest path of the *current* effective
-        residual topology and must fit entirely; on any failure the hops
-        already taken are rolled back and ``None`` is returned.
+        Each hop routes along the widest path of the live residual view,
+        patched with the hops already taken, and must fit entirely; on any
+        failure the hops already taken are rolled back and ``None`` is
+        returned.
         """
         config = plan.result.configuration
         assert config is not None  # guaranteed by plan.success
@@ -374,15 +403,14 @@ class SimWorld:
         ):
             source_node = self._node_for(source, request)
             target_node = self._node_for(target, request)
+            view = self._residual_view()
             if source_node == target_node:
                 route: Optional[List[str]] = [source_node]
             else:
-                route = self.effective_topology().widest_path(
-                    source_node, target_node
-                )
+                route = view.widest_path(source_node, target_node)
             fmt = self.scenario.registry.get(fmt_name)
             requirement = config.required_bandwidth(fmt)
-            if route is None or not self._fits(route, requirement):
+            if route is None or not self._fits(view, route, requirement):
                 self.release(leases)
                 return None
             try:
@@ -404,16 +432,19 @@ class SimWorld:
             )
         return leases
 
-    def _fits(self, route: List[str], requirement: float) -> bool:
+    @staticmethod
+    def _fits(view: NetworkTopology, route: List[str], requirement: float) -> bool:
         """Does the route's *effective* residual carry the requirement?
 
-        The ledger itself only validates against nominal capacity, so this
-        extra check keeps fault-squeezed links from being over-committed
-        at admission time.
+        ``view`` is the live residual view, whose links hold exactly the
+        capacities :meth:`effective_topology` would give them.  The ledger
+        itself only validates against nominal capacity, so this extra check
+        keeps fault-squeezed links from being over-committed at admission
+        time.
         """
         slack = 1.0 + 1e-9
         return all(
-            self.effective_residual(a, b) * slack >= requirement
+            view.get_link(a, b).bandwidth_bps * slack >= requirement
             for a, b in zip(route, route[1:])
         )
 

@@ -1,15 +1,17 @@
 """The per-pair adaptation-graph builder, kept verbatim as the equivalence oracle.
 
-Before single-source widest trees, :class:`~repro.core.graph.AdaptationGraphBuilder`
-connected vertices with one early-exit widest-path Dijkstra per ordered host
-pair, then walked each path three more times for its bottleneck, cost and
-delay.  :class:`AdaptationGraph` sorted its adjacency with the regex
+Before single-source widest trees and the per-(catalog, placement)
+transcoder skeleton, :class:`~repro.core.graph.AdaptationGraphBuilder`
+created every vertex per session and connected them with one early-exit
+widest-path Dijkstra per ordered host pair, then walked each path three
+more times for its bottleneck, cost and delay.  :class:`AdaptationGraph` sorted its adjacency with the regex
 ``service_sort_key`` on every comparison.  This module preserves both:
 
 - :func:`reference_widest_path` is the per-pair Dijkstra, written against
   the topology's public ``neighbors``/``get_link`` lookups;
-- :class:`ReferenceGraphBuilder` overrides ``_connect`` with the per-pair
-  edge facts and returns a :class:`SeedOrderGraph`;
+- :class:`ReferenceGraphBuilder` is the seed builder as a standalone
+  class: every vertex created per build, per-pair edge facts, and a
+  :class:`SeedOrderGraph` result;
 - :class:`SeedOrderGraph` re-derives vertex order, ranks and adjacency with
   the seed's key-based sorts over the edges in the order they were given.
 
@@ -21,11 +23,16 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.graph import AdaptationGraph, AdaptationGraphBuilder, Edge, Vertex
+from repro.core.graph import AdaptationGraph, Edge, Vertex
+from repro.errors import GraphConstructionError
+from repro.network.placement import ServicePlacement
 from repro.network.topology import NetworkTopology
-from repro.services.catalog import service_sort_key
+from repro.profiles.content import ContentProfile
+from repro.profiles.device import DeviceProfile
+from repro.services.catalog import ServiceCatalog, service_sort_key
+from repro.services.descriptor import ServiceDescriptor, ServiceKind
 
 __all__ = ["ReferenceGraphBuilder", "SeedOrderGraph", "reference_widest_path"]
 
@@ -100,13 +107,92 @@ class SeedOrderGraph(AdaptationGraph):
         }
 
 
-class ReferenceGraphBuilder(AdaptationGraphBuilder):
-    """The seed builder: per-pair widest paths, seed-ordered adjacency."""
+class ReferenceGraphBuilder:
+    """The seed builder: per-pair widest paths, seed-ordered adjacency.
 
-    def build(self, *args, **kwargs) -> SeedOrderGraph:
-        graph = super().build(*args, **kwargs)
-        return SeedOrderGraph(
-            self._last_vertices, self._last_edges, graph.sender_id, graph.receiver_id
+    A standalone copy of the builder before the transcoder skeleton: it
+    creates every vertex per build, connects every (producer, consumer,
+    shared format) triple in generation order, and sorts with the seed's
+    key-based sorts.
+    """
+
+    def __init__(
+        self,
+        catalog: ServiceCatalog,
+        placement: ServicePlacement,
+        check_resources: bool = True,
+        reference_input_bps: float = 1e6,
+    ) -> None:
+        self._catalog = catalog
+        self._placement = placement
+        self._check_resources = check_resources
+        self._reference_input_bps = reference_input_bps
+
+    def build(
+        self,
+        content: ContentProfile,
+        device: DeviceProfile,
+        sender_node: str,
+        receiver_node: str,
+        sender_id: str = "sender",
+        receiver_id: str = "receiver",
+        context_caps: Optional[Mapping[str, float]] = None,
+    ) -> SeedOrderGraph:
+        topology = self._placement.topology
+        if sender_node not in topology:
+            raise GraphConstructionError(f"sender node {sender_node!r} not in topology")
+        if receiver_node not in topology:
+            raise GraphConstructionError(
+                f"receiver node {receiver_node!r} not in topology"
+            )
+        sender_descriptor = content.sender_descriptor(sender_id)
+        receiver_caps = device.rendering_caps()
+        for name, cap in (context_caps or {}).items():
+            receiver_caps[name] = min(cap, receiver_caps.get(name, math.inf))
+        receiver_descriptor = ServiceDescriptor(
+            service_id=receiver_id,
+            input_formats=tuple(device.decoders),
+            output_caps=receiver_caps,
+            kind=ServiceKind.RECEIVER,
+            description=f"rendering device {device.device_id!r}",
+        )
+        vertices: List[Vertex] = [
+            Vertex(
+                service=sender_descriptor,
+                node_id=sender_node,
+                source_configurations={
+                    variant.format.name: variant.configuration
+                    for variant in content.variants
+                },
+            ),
+            Vertex(service=receiver_descriptor, node_id=receiver_node),
+        ]
+        for descriptor in self._catalog.transcoders():
+            if descriptor.service_id in (sender_id, receiver_id):
+                raise GraphConstructionError(
+                    f"catalog service id {descriptor.service_id!r} collides "
+                    f"with an endpoint id"
+                )
+            if not self._placement.is_placed(descriptor.service_id):
+                continue
+            if self._check_resources and not self._host_can_run(descriptor):
+                continue
+            vertices.append(
+                Vertex(
+                    service=descriptor,
+                    node_id=self._placement.node_of(descriptor.service_id),
+                )
+            )
+        edges = self._connect(vertices)
+        return SeedOrderGraph(vertices, edges, sender_id, receiver_id)
+
+    def _host_can_run(self, descriptor: ServiceDescriptor) -> bool:
+        node = self._placement.topology.get_node(
+            self._placement.node_of(descriptor.service_id)
+        )
+        return (
+            descriptor.cpu_required(self._reference_input_bps) <= node.cpu_mips
+            and descriptor.memory_mb <= node.memory_mb
         )
 
     def _connect(self, vertices: Sequence[Vertex]) -> List[Edge]:
@@ -161,6 +247,4 @@ class ReferenceGraphBuilder(AdaptationGraphBuilder):
                             delay_ms=delay,
                         )
                     )
-        self._last_vertices = list(vertices)
-        self._last_edges = edges
         return edges

@@ -237,6 +237,30 @@ class TestGraphQueries:
         assert [ids[rank[v]] for v in ids] == ids
         assert sorted(ids, key=rank.__getitem__) == ids
 
+    def test_restrict_filters_builder_adjacency(self):
+        graph = simple_world()
+        assert graph.filterable
+        kept = graph.restrict({"sender", "T1", "receiver"})
+        assert kept.filterable
+        assert kept.vertex_ids() == ["T1", "receiver", "sender"]
+        assert kept.vertex_rank() == {"T1": 0, "receiver": 1, "sender": 2}
+        assert kept.out_edges("sender") == tuple(
+            e for e in graph.out_edges("sender") if e.target == "T1"
+        )
+        assert kept.in_edges("receiver") == graph.in_edges("receiver")
+        assert "T2" not in kept
+        with pytest.raises(GraphConstructionError):
+            graph.restrict({"T1", "receiver"})  # the sender must survive
+
+    def test_hand_built_graph_is_not_filterable(self):
+        graph = simple_world()
+        rebuilt = AdaptationGraph(
+            graph.vertices(), graph.edges(), graph.sender_id, graph.receiver_id
+        )
+        assert not rebuilt.filterable
+        with pytest.raises(GraphConstructionError):
+            rebuilt.restrict(set(rebuilt.vertex_ids()))
+
 
 class TestPathEnumeration:
     def test_simple_world_has_one_path(self):

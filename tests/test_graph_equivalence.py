@@ -23,13 +23,16 @@ import dataclasses
 import itertools
 import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.graph import AdaptationGraphBuilder
 from repro.core.pruning import GraphPruner
 from repro.core.selection import QoSPathSelector, TieBreakPolicy
+from repro.errors import GraphConstructionError
 from repro.network.placement import ServicePlacement
 from repro.network.topology import NetworkTopology
+from repro.profiles.device import DeviceProfile
 from repro.services.catalog import ServiceCatalog
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
@@ -76,8 +79,12 @@ def topologies(draw):
 
 
 @st.composite
-def worlds(draw):
-    """A synthetic scenario re-homed onto a random topology and placement."""
+def infrastructures(draw, duplicate_formats=False):
+    """A synthetic scenario re-homed onto a random topology and placement.
+
+    With ``duplicate_formats`` some transcoders list one of their formats
+    twice, which makes the builder emit repeated edge triples.
+    """
     scenario = generate_scenario(
         SyntheticConfig(
             seed=draw(st.integers(min_value=0, max_value=10_000)),
@@ -94,6 +101,17 @@ def worlds(draw):
         twin_id = re.sub(r"(\d+)$", r"0\1", descriptor.service_id)
         if twin_id not in scenario.catalog:
             descriptors.append(dataclasses.replace(descriptor, service_id=twin_id))
+    if duplicate_formats:
+        for index in draw(
+            st.lists(st.sampled_from(range(len(descriptors))), unique=True, max_size=3)
+        ):
+            descriptor = descriptors[index]
+            descriptors[index] = dataclasses.replace(
+                descriptor,
+                input_formats=descriptor.input_formats + descriptor.input_formats[:1],
+                output_formats=descriptor.output_formats
+                + descriptor.output_formats[-1:],
+            )
     catalog = ServiceCatalog(descriptors)
 
     topology = draw(topologies())
@@ -103,13 +121,22 @@ def worlds(draw):
         node = draw(st.sampled_from(nodes + [None]))  # None: left unplaced
         if node is not None:
             placement.place(descriptor.service_id, node)
+    return scenario, catalog, topology, placement, draw(st.booleans())
+
+
+@st.composite
+def worlds(draw):
+    """One production and one reference graph over a random infrastructure."""
+    scenario, catalog, topology, placement, check_resources = draw(
+        infrastructures()
+    )
+    nodes = topology.node_ids()
     build_args = dict(
         content=scenario.content,
         device=scenario.device,
         sender_node=draw(st.sampled_from(nodes)),
         receiver_node=draw(st.sampled_from(nodes)),
     )
-    check_resources = draw(st.booleans())
     production = AdaptationGraphBuilder(
         catalog, placement, check_resources=check_resources
     ).build(**build_args)
@@ -190,3 +217,73 @@ def test_pruned_graph_and_selection_match_reference(world):
         assert _select(scenario, pruned, policy) == _select(
             scenario, seed_pruned, policy
         )
+
+
+#: Endpoint ids: the defaults, a catalog id (a collision) and plain text;
+#: the test adds a zero-padded twin of every catalog id (``X04`` for
+#: ``X4``), whose natural key ties with the catalog id's.
+ENDPOINT_IDS = ["sender", "receiver", "X1", "S", "rx"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_shared_builder_matches_reference_across_requests(data):
+    """One builder, its skeleton reused across requests and link changes."""
+    scenario, catalog, topology, placement, check_resources = data.draw(
+        infrastructures(duplicate_formats=True)
+    )
+    builder = AdaptationGraphBuilder(
+        catalog, placement, check_resources=check_resources
+    )
+    links = topology.links()
+    nodes = topology.node_ids()
+    formats = [fmt.name for fmt in scenario.registry]
+    endpoint_ids = ENDPOINT_IDS + [
+        re.sub(r"(\d+)$", r"0\1", service_id) for service_id in catalog.ids()
+    ]
+    for _ in range(data.draw(st.integers(min_value=2, max_value=4))):
+        changed = data.draw(st.lists(st.sampled_from(links), max_size=3)) if links else []
+        for link in changed:
+            topology.set_bandwidth(
+                link.a, link.b, data.draw(st.sampled_from(TIED_BANDWIDTHS))
+            )
+        if data.draw(st.integers(min_value=0, max_value=3)) == 0:
+            # Re-place one service: the next build needs a new skeleton.
+            placement.place(
+                data.draw(st.sampled_from(catalog.ids())),
+                data.draw(st.sampled_from(nodes)),
+            )
+        device = DeviceProfile(
+            device_id=scenario.device.device_id,
+            decoders=data.draw(
+                st.lists(st.sampled_from(formats), min_size=1, unique=True)
+            ),
+            max_resolution=scenario.device.max_resolution,
+            max_color_depth=scenario.device.max_color_depth,
+            max_frame_rate=scenario.device.max_frame_rate,
+            max_audio_kbps=scenario.device.max_audio_kbps,
+        )
+        build_args = dict(
+            content=scenario.content,
+            device=device,
+            sender_node=data.draw(st.sampled_from(nodes)),
+            receiver_node=data.draw(st.sampled_from(nodes)),
+            sender_id=data.draw(st.sampled_from(endpoint_ids)),
+            receiver_id=data.draw(st.sampled_from(endpoint_ids)),
+        )
+        reference_builder = ReferenceGraphBuilder(
+            catalog, placement, check_resources=check_resources
+        )
+        try:
+            reference = reference_builder.build(**build_args)
+        except GraphConstructionError as error:
+            with pytest.raises(GraphConstructionError) as raised:
+                builder.build(**build_args)
+            assert str(raised.value) == str(error)
+            continue
+        production = builder.build(**build_args)
+        _assert_same_graph(production, reference)
+        pruned, report = GraphPruner().prune(production)
+        reference_pruned, reference_report = GraphPruner().prune(reference)
+        _assert_same_graph(pruned, reference_pruned)
+        assert report == reference_report

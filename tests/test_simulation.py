@@ -232,6 +232,12 @@ class TestDeterminism:
              "be2df6bee7b33b2b121c8f4557d035c66b72c3b193dc1c5b26142a8b87e3bbd6"),
             ("link-churn", 42, 60,
              "dd17ded4df9dd3bc30eedea56c9cdf9960648c1baf796d71bc568feb896ac010"),
+            ("gray-failure", 42, 150,
+             "f74c9f36f04d51f51462e851b7db81c9e984d6cb7d50608e1ad5d918b51e1281"),
+            ("policy-mix", 42, 150,
+             "43150cf8dc2627b3728b7e1855d1777f95d5c402c2b6521824f906be30bad2f1"),
+            ("live-event", 42, 80,
+             "26e336fbbe3c1cd20e801878133df7f445aecdb5e874a84ff75b92652de05a2b"),
         ],
     )
     def test_golden_trace_digest(self, name, seed, sessions, digest):
