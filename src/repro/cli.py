@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.analysis import GraphAnalysis
 from repro.discovery.wsdl import catalog_to_wsdl
@@ -173,6 +173,23 @@ def cmd_solve(args: argparse.Namespace, out) -> int:
     return 0
 
 
+def _timed(fn: Callable[[], Any]) -> Tuple[Any, float]:
+    """``fn()`` and the wall-clock seconds it took."""
+    started = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - started
+
+
+def _print_comparison(
+    baseline_line: str, baseline_s: float, elapsed_s: float, out
+) -> None:
+    """The ``--compare`` block: the baseline's line, then the speedup."""
+    speedup = baseline_s / elapsed_s if elapsed_s > 0 else float("inf")
+    print(file=out)
+    print(baseline_line, file=out)
+    print(f"speedup:           {speedup:.1f}x", file=out)
+
+
 def cmd_plan_batch(args: argparse.Namespace, out) -> int:
     from repro.planner import BatchPlanner, PlanCache, synthetic_requests
     from repro.runtime.metrics import PlannerReport
@@ -184,9 +201,7 @@ def cmd_plan_batch(args: argparse.Namespace, out) -> int:
     )
     requests = synthetic_requests(scenario, args.sessions, args.distinct)
 
-    started = time.perf_counter()
-    plans = planner.plan_batch(requests)
-    elapsed = time.perf_counter() - started
+    plans, elapsed = _timed(lambda: planner.plan_batch(requests))
 
     stats = cache.stats
     memo_stats = planner.optimize_memo.stats
@@ -210,13 +225,13 @@ def cmd_plan_batch(args: argparse.Namespace, out) -> int:
           f"({args.sessions} sessions, {args.distinct} device classes)", file=out)
     print(report.summary(), file=out)
     if args.compare:
-        started = time.perf_counter()
-        planner.plan_batch(requests, use_cache=False)
-        uncached = time.perf_counter() - started
-        speedup = uncached / elapsed if elapsed > 0 else float("inf")
-        print(file=out)
-        print(f"uncached:          {uncached * 1000:.1f} ms", file=out)
-        print(f"speedup:           {speedup:.1f}x", file=out)
+        _plans, uncached = _timed(
+            lambda: planner.plan_batch(requests, use_cache=False)
+        )
+        _print_comparison(
+            f"uncached:          {uncached * 1000:.1f} ms",
+            uncached, elapsed, out,
+        )
     return 0
 
 
@@ -249,9 +264,7 @@ def cmd_plan_group(args: argparse.Namespace, out) -> int:
     )
     planner = GroupPlanner.for_scenario(scenario)
 
-    started = time.perf_counter()
-    plan = planner.plan(request)
-    elapsed = time.perf_counter() - started
+    plan, elapsed = _timed(lambda: planner.plan(request))
 
     tree = plan.tree
     print(f"scenario: {scenario.name} "
@@ -275,37 +288,33 @@ def cmd_plan_group(args: argparse.Namespace, out) -> int:
         from repro.planner import BatchPlanner, PlanRequest
 
         baseline = BatchPlanner.for_scenario(scenario)
-        started = time.perf_counter()
-        baseline_bps = 0.0
-        baseline_calls = 0
-        for receiver in receivers:
-            for _ in range(receiver.sessions):
-                session = baseline.plan_uncached(
-                    PlanRequest(
-                        content=request.content,
-                        device=receiver.device,
-                        user=request.user,
-                        sender_node=request.sender_node,
-                        receiver_node=request.receiver_node,
-                        context=request.context,
-                    )
+        results, uncached = _timed(lambda: [
+            baseline.plan_uncached(
+                PlanRequest(
+                    content=request.content,
+                    device=receiver.device,
+                    user=request.user,
+                    sender_node=request.sender_node,
+                    receiver_node=request.receiver_node,
+                    context=request.context,
                 )
-                result = session.result
-                if result.success and result.stats is not None:
-                    baseline_calls += result.stats.optimize_calls
-                    baseline_bps += sum(
-                        result.configuration.required_bandwidth(
-                            baseline.registry.get(fmt)
-                        )
-                        for fmt in result.formats
-                    )
-        uncached = time.perf_counter() - started
-        print(file=out)
-        print(f"per-session baseline: {uncached * 1000:.1f} ms, "
-              f"{baseline_calls} optimize calls, "
-              f"{baseline_bps / 1e6:.2f} Mbps reserved", file=out)
-        speedup = uncached / elapsed if elapsed > 0 else float("inf")
-        print(f"speedup:           {speedup:.1f}x", file=out)
+            ).result
+            for receiver in receivers
+            for _ in range(receiver.sessions)
+        ])
+        planned = [r for r in results if r.success and r.stats is not None]
+        baseline_calls = sum(r.stats.optimize_calls for r in planned)
+        baseline_bps = sum(
+            r.configuration.required_bandwidth(baseline.registry.get(fmt))
+            for r in planned
+            for fmt in r.formats
+        )
+        _print_comparison(
+            f"per-session baseline: {uncached * 1000:.1f} ms, "
+            f"{baseline_calls} optimize calls, "
+            f"{baseline_bps / 1e6:.2f} Mbps reserved",
+            uncached, elapsed, out,
+        )
     return 0
 
 

@@ -24,7 +24,9 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.graph import AdaptationGraphBuilder
 from repro.core.optimizer import OptimizeMemo
@@ -33,6 +35,7 @@ from repro.core.selection import TieBreakPolicy
 from repro.formats.registry import FormatRegistry
 from repro.network.placement import ServicePlacement
 from repro.network.reservations import BandwidthLedger
+from repro.network.topology import NetworkTopology
 from repro.planner.cache import PlanCache
 from repro.policy.engine import PolicyDecision, PolicyEngine, PolicyPlan
 from repro.planner.fingerprint import (
@@ -46,6 +49,7 @@ from repro.profiles.device import DeviceProfile
 from repro.profiles.user import UserProfile
 from repro.runtime.session import AdaptationSession, SessionPlan
 from repro.services.catalog import ServiceCatalog
+from repro.services.descriptor import ServiceDescriptor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.workloads.scenario import Scenario
@@ -112,11 +116,12 @@ class BatchPlanner:
         self._graph_builder = AdaptationGraphBuilder(catalog, placement)
         # Policy pass ahead of the selector (repro.policy).  Fast-path
         # answers live in the engine's own cache namespace; tier-forced
-        # requests plan through per-tier sub-planners built lazily below
-        # (plan fingerprints embed catalog generations that restart per
-        # catalog, so each filtered catalog needs its own PlanCache).
+        # requests plan through per-tier views built lazily below, on
+        # this planner's cache (see :meth:`view`).
         self._policy_engine = policy_engine
-        self._tier_planners: Dict[str, "BatchPlanner"] = {}
+        self._tier_planners: Dict[
+            str, Tuple[Tuple[int, int], "BatchPlanner"]
+        ] = {}
         self._tier_lock = threading.Lock()
 
     @classmethod
@@ -191,13 +196,14 @@ class BatchPlanner:
     def purge_stale(self) -> int:
         """Drop cached plans computed at older infrastructure generations.
 
-        Covers the tier sub-planners' caches too; returns how many plans
-        were dropped.
+        Keeps the plans of this planner's tier views, which share its
+        cache; returns how many plans were dropped.
         """
-        dropped = self._cache.purge_stale(self.current_stamp())
         with self._tier_lock:
-            tiers = list(self._tier_planners.values())
-        return dropped + sum(planner.purge_stale() for planner in tiers)
+            tiers = [view for _key, view in self._tier_planners.values()]
+        return self._cache.purge_stale(
+            self.current_stamp(), *(view.current_stamp() for view in tiers)
+        )
 
     def plan_uncached(self, request: PlanRequest) -> SessionPlan:
         """Plan one session from scratch (no cache lookup or insert).
@@ -269,8 +275,8 @@ class BatchPlanner:
         rule fired (pure selector path).  For a ``skip`` the returned
         plan is the engine's zero-hop :class:`PolicyPlan` and the hit
         flag reflects the engine's decision cache; for ``force_tier``
-        planning runs through a tier-filtered sub-planner with its own
-        plan cache.
+        planning runs through a tier-filtered :meth:`view` on this
+        planner's cache.
         """
         engine = self._policy_engine
         if engine is not None:
@@ -302,36 +308,59 @@ class BatchPlanner:
         return plan, hit
 
     def _tier_planner(self, tier: str) -> "BatchPlanner":
-        """The sub-planner whose catalog keeps only ``tier`` transcoders.
+        """The view that keeps only ``tier`` transcoders.
 
-        Sender/receiver pseudo-descriptors pass through untouched.  Each
-        sub-planner owns a fresh :class:`PlanCache` (fingerprints embed
-        per-catalog generation counters, so sharing the main cache would
-        mix namespaces) but shares the optimize() memo.
+        Sender/receiver pseudo-descriptors pass through untouched.  The
+        view is rebuilt when this planner's catalog or placement moves,
+        since it holds filtered copies of both.
         """
+        key = (self._catalog.generation, self._placement.generation)
         with self._tier_lock:
-            planner = self._tier_planners.get(tier)
-            if planner is None:
-                filtered = ServiceCatalog(
-                    descriptor
-                    for descriptor in self._catalog
-                    if not descriptor.is_transcoder or descriptor.tier == tier
+            memo = self._tier_planners.get(tier)
+            if memo is None or memo[0] != key:
+                memo = (
+                    key,
+                    self.view(lambda d: not d.is_transcoder or d.tier == tier),
                 )
-                planner = BatchPlanner(
-                    registry=self._registry,
-                    parameters=self._parameters,
-                    catalog=filtered,
-                    placement=self._placement,
-                    cache=PlanCache(self._cache.max_entries),
-                    ledger=self._ledger,
-                    max_workers=1,
-                    tie_break=self._tie_break,
-                    prune=self._prune,
-                    record_trace=self._record_trace,
-                    optimize_memo=self._optimize_memo,
-                )
-                self._tier_planners[tier] = planner
-            return planner
+                self._tier_planners[tier] = memo
+            return memo[1]
+
+    def view(
+        self,
+        keep: Callable[[ServiceDescriptor], bool],
+        topology: Optional[NetworkTopology] = None,
+    ) -> "BatchPlanner":
+        """A one-worker planner over the services ``keep`` accepts.
+
+        Their placement entries move to ``topology`` (default: this
+        planner's).  The view shares this planner's plan cache, optimize()
+        memo, policy engine, ledger and knobs: a fingerprint hashes the
+        full catalog, topology and placement content, so views that differ
+        in content never share a cache key.
+        """
+        catalog = ServiceCatalog(d for d in self._catalog if keep(d))
+        placement = ServicePlacement(
+            topology if topology is not None else self._placement.topology,
+            {
+                service_id: node_id
+                for service_id, node_id in self._placement.as_dict().items()
+                if service_id in catalog
+            },
+        )
+        return BatchPlanner(
+            registry=self._registry,
+            parameters=self._parameters,
+            catalog=catalog,
+            placement=placement,
+            cache=self._cache,
+            ledger=self._ledger,
+            max_workers=1,
+            tie_break=self._tie_break,
+            prune=self._prune,
+            record_trace=self._record_trace,
+            optimize_memo=self._optimize_memo,
+            policy_engine=self._policy_engine,
+        )
 
     # ------------------------------------------------------------------
     # Batch planning

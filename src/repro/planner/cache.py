@@ -142,18 +142,22 @@ class PlanCache:
     # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------
-    def purge_stale(self, current: GenerationStamp) -> int:
-        """Drop entries not computed at ``current`` generations.
+    def purge_stale(self, *current: GenerationStamp) -> int:
+        """Drop entries computed at none of the ``current`` stamps.
 
-        Stale entries can never be hit again (their fingerprints embed the
-        old counters); purging reclaims their memory eagerly and returns
-        how many were dropped.
+        A cache shared by several planner views (see
+        :meth:`repro.planner.batch.BatchPlanner.view`) passes every live
+        view's stamp, so one view's purge keeps its siblings' plans.
+        Stale entries can never be hit again (their fingerprints embed
+        the old counters); purging reclaims their memory eagerly and
+        returns how many were dropped.
         """
+        live = set(current)
         with self._lock:
             stale: List[PlanFingerprint] = [
                 fingerprint
                 for fingerprint in self._entries
-                if fingerprint.generations != current
+                if fingerprint.generations not in live
             ]
             for fingerprint in stale:
                 del self._entries[fingerprint]

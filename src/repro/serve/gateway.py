@@ -40,7 +40,6 @@ from repro.errors import (
     ReproError,
 )
 from repro.group import GroupPlanner, GroupRequest
-from repro.network.placement import ServicePlacement
 from repro.planner.batch import BatchPlanner, PlanRequest
 from repro.planner.cache import PlanCache
 from repro.policy.document import PolicyDocument
@@ -68,7 +67,6 @@ from repro.serve.protocol import (
     plan_response_payload,
     policy_skip_payload,
 )
-from repro.services.catalog import ServiceCatalog
 from repro.serve.sharding import (
     SHARD_HINT_HEADER,
     WORKER_ID_HEADER,
@@ -233,9 +231,9 @@ class PlanningGateway:
         # the planning thread — hence the lock.
         self._executor_lock = threading.Lock()
         self._executor_outstanding = 0
-        # Service health: breakers feed the quarantine overlay.  The
-        # overlay planner is a single-entry cache keyed on (generation,
-        # quarantine set); a quarantine change flushes the base plan
+        # Service health: breakers feed the quarantine overlay, a view of
+        # the base planner memoized on (generation, quarantine set) that
+        # plans on the same plan cache.  A quarantine change flushes that
         # cache so stale plans die with the breaker trip.
         self._health: Optional[HealthRegistry] = (
             HealthRegistry(
@@ -362,14 +360,15 @@ class PlanningGateway:
     def _quarantine_planner(self, state: _GatewayState) -> BatchPlanner:
         """The planner to serve with, masking OPEN services.
 
-        Tracks the quarantine set: any change flushes the base plan
-        cache (stale plans must die with the breaker trip) and drops the
+        Tracks the quarantine set: any change flushes the plan cache
+        (stale plans must die with the breaker trip) and drops the
         overlay.  With an empty quarantine the base planner serves as
-        before; otherwise a filtered catalog/placement overlay planner
-        is built once per (generation, quarantine set) — with its *own*
-        plan cache, because fingerprints embed generation counters that
-        restart per freshly built catalog and must never collide across
-        overlays.
+        before; otherwise the overlay is the base planner's
+        :meth:`~repro.planner.batch.BatchPlanner.view` without the
+        quarantined services, built once per (generation, quarantine
+        set).  It plans on the base cache, so ``/metrics`` counts its
+        lookups, and keeps the policy pass: a zero-hop skip needs no
+        services, and a forced tier filters whatever survives the mask.
         """
         quarantined = (
             self._health.quarantined(self._health_now())
@@ -386,32 +385,8 @@ class PlanningGateway:
         key = (state.generation, quarantined)
         if self._overlay is not None and self._overlay[0] == key:
             return self._overlay[1]
-        scenario = state.scenario
-        alive = [
-            descriptor
-            for descriptor in scenario.catalog
-            if descriptor.service_id not in quarantined
-        ]
-        catalog = ServiceCatalog(alive)
-        mapping = {
-            service_id: node_id
-            for service_id, node_id in scenario.placement.as_dict().items()
-            if service_id in catalog
-        }
-        placement = ServicePlacement(scenario.placement.topology, mapping)
-        planner = BatchPlanner(
-            registry=scenario.registry,
-            parameters=scenario.parameters,
-            catalog=catalog,
-            placement=placement,
-            cache=PlanCache(max_entries=self._config.cache_size),
-            max_workers=1,
-            record_trace=False,
-            optimize_memo=state.planner.optimize_memo,
-            # Policy still applies under quarantine: a zero-hop skip
-            # needs no services, and a forced tier filters whatever
-            # catalog survives the mask.
-            policy_engine=self._policy,
+        planner = state.planner.view(
+            lambda descriptor: descriptor.service_id not in quarantined
         )
         self._overlay = (key, planner)
         return planner

@@ -9,26 +9,26 @@ A :class:`SimWorld` owns everything the concurrent sessions contend over:
   virtual clock advances;
 - the **bandwidth ledger**: every admitted session's reservations, so
   later admissions plan against what is actually left;
-- one shared :class:`~repro.core.optimizer.OptimizeMemo`, so the
-  thousands of plans and replans a run performs reuse each other's solved
-  relaxations exactly as a :class:`~repro.planner.batch.BatchPlanner`
-  batch would.
+- one base :class:`~repro.planner.batch.BatchPlanner` over the scenario,
+  whose plan cache and :class:`~repro.core.optimizer.OptimizeMemo` serve
+  every plan and replan of the run.
 
 Planning goes through the existing planner stack over one **live residual
 view**: a topology whose capacities are the effective residuals (base
-capacity x fault factor, minus reservations), plus the catalog with
-crashed and quarantined services filtered out, its placement and a
-:class:`BatchPlanner` with its plan cache.  The view's topology is built
-once per fault generation.  Reservations and releases never rebuild it:
-before each plan and each hop route the world asks the ledger which links
+capacity x fault factor, minus reservations), planned by the base
+planner's :meth:`~repro.planner.batch.BatchPlanner.view` without the
+crashed and quarantined services.  The view's topology is built once per
+fault generation.  Reservations and releases never rebuild it: before
+each plan and each hop route the world asks the ledger which links
 changed and patches just those links, each recomputed from the ledger
 exactly as :meth:`SimWorld.effective_topology` computes it (never as an
 accumulated delta, so the view stays bit-identical to a fresh snapshot).
-The catalog, placement and planner persist across reservations and are
-rebuilt only when the fault generation, the health generation or the
-quarantine set moves.  A patch bumps the view topology's generation, which
-every plan fingerprint embeds, so a cached plan never outlives the
-residuals it was computed on; stale entries are purged at each patch.
+The view planner persists across reservations and is rebuilt only when
+the fault generation, the health generation or the quarantine set moves,
+and the plan cache is cleared then, so each new view starts empty.  A
+patch bumps the view topology's generation, which every plan fingerprint
+embeds, so a cached plan never outlives the residuals it was computed on;
+stale entries are purged at each patch.
 """
 
 from __future__ import annotations
@@ -37,10 +37,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.optimizer import OptimizeMemo
 from repro.core.parameters import FRAME_RATE
 from repro.errors import ReproError, ValidationError
-from repro.network.placement import ServicePlacement
 from repro.network.reservations import BandwidthLedger, Reservation
 from repro.network.topology import Link, NetworkTopology
 from repro.planner.batch import BatchPlanner, PlanRequest
@@ -48,10 +46,12 @@ from repro.planner.cache import PlanCache
 from repro.policy.engine import PolicyEngine
 from repro.runtime.session import SessionPlan
 from repro.serve.health import HealthRegistry
-from repro.services.catalog import ServiceCatalog
 from repro.workloads.scenario import Scenario
 
 __all__ = ["HopLease", "SimWorld"]
+
+#: Plan-cache capacity of one run; every residual view plans on that cache.
+_PLAN_CACHE_SIZE = 256
 
 #: Service ids the graph builder synthesizes for the endpoints; they are
 #: per-session, never in the shared catalog or placement.
@@ -78,21 +78,26 @@ class HopLease:
 class SimWorld:
     """Fault overlay + reservations + snapshot planning over one scenario."""
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        optimize_memo: Optional[OptimizeMemo] = None,
-        plan_cache_size: int = 256,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, scenario: Scenario, seed: int = 0) -> None:
         self.scenario = scenario
         self.ledger = BandwidthLedger(scenario.topology)
         self._factors: Dict[Tuple[str, str], float] = {}
         self._down_nodes: Set[str] = set()
         self._down_services: Set[str] = set()
-        self._memo = optimize_memo if optimize_memo is not None else OptimizeMemo()
-        self._plan_cache_size = plan_cache_size
         self._generation = 0
+        # The base planner every residual view is cut from.  Its one
+        # policy engine (when the scenario carries a policy document)
+        # keeps its decision cache across view rebuilds, mirroring how the
+        # gateway keeps one engine across reloads.
+        self._base = BatchPlanner.for_scenario(
+            scenario,
+            cache=PlanCache(max_entries=_PLAN_CACHE_SIZE),
+            policy_engine=(
+                PolicyEngine(scenario.policy)
+                if scenario.policy is not None
+                else None
+            ),
+        )
         # The live residual view: its topology (per fault generation,
         # patched per ledger move) and its planner (per fault generation,
         # health generation and quarantine set).
@@ -108,22 +113,10 @@ class SimWorld:
         self._gray_rates: Dict[str, float] = {}
         self._health: Optional[HealthRegistry] = None
         self._clock: Callable[[], float] = lambda: 0.0
-        # One policy engine for the whole run (when the scenario carries a
-        # policy document): its decision cache spans snapshot rebuilds,
-        # mirroring how the gateway keeps one engine across reloads.
-        self._policy_engine: Optional[PolicyEngine] = (
-            PolicyEngine(scenario.policy)
-            if scenario.policy is not None
-            else None
-        )
 
     @property
     def policy_engine(self) -> Optional[PolicyEngine]:
-        return self._policy_engine
-
-    @property
-    def optimize_memo(self) -> OptimizeMemo:
-        return self._memo
+        return self._base.policy_engine
 
     @property
     def generation(self) -> int:
@@ -325,8 +318,9 @@ class SimWorld:
         """The live view's planner for the current fault and health state.
 
         Rebuilt when the fault generation, the health generation or the
-        quarantine set moves; reservations only patch its topology.  The
-        shared optimize memo carries solved relaxations across rebuilds.
+        quarantine set moves, clearing the run's plan cache; reservations
+        only patch its topology.  The base planner's optimize memo carries
+        solved relaxations across rebuilds.
         """
         topology = self._residual_view()
         quarantined: frozenset = frozenset()
@@ -337,29 +331,11 @@ class SimWorld:
         key = (self._generation, health_generation, quarantined)
         if self._planner is not None and self._planner_key == key:
             return self._planner
-        alive = [
-            descriptor
-            for descriptor in self.scenario.catalog
-            if not self.service_is_down(descriptor.service_id)
-            and descriptor.service_id not in quarantined
-        ]
-        catalog = ServiceCatalog(alive)
-        mapping = {
-            service_id: node_id
-            for service_id, node_id in self.scenario.placement.as_dict().items()
-            if service_id in catalog
-        }
-        placement = ServicePlacement(topology, mapping)
-        self._planner = BatchPlanner(
-            registry=self.scenario.registry,
-            parameters=self.scenario.parameters,
-            catalog=catalog,
-            placement=placement,
-            cache=PlanCache(max_entries=self._plan_cache_size),
-            max_workers=1,
-            record_trace=False,
-            optimize_memo=self._memo,
-            policy_engine=self._policy_engine,
+        self._base.cache.clear()
+        self._planner = self._base.view(
+            lambda descriptor: not self.service_is_down(descriptor.service_id)
+            and descriptor.service_id not in quarantined,
+            topology=topology,
         )
         self._planner_key = key
         return self._planner

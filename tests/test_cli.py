@@ -385,6 +385,27 @@ class TestLintCommand:
         assert "[warning]" in out.getvalue()
 
 
+class TestPlanBatchCommand:
+    ARGS = ("plan-batch", "--seed", "7", "--sessions", "40", "--distinct", "4")
+
+    def test_compare_prints_the_uncached_baseline(self):
+        code, text = run_cli(*self.ARGS, "--compare")
+        assert code == 0
+        assert "40 sessions, 4 device classes" in text
+        assert "cache hits:        36" in text
+        lines = text.splitlines()
+        assert lines[-3] == ""
+        assert lines[-2].startswith("uncached:          ")
+        assert lines[-2].endswith(" ms")
+        assert lines[-1].startswith("speedup:           ")
+        assert lines[-1].endswith("x")
+
+    def test_without_compare_prints_no_baseline(self):
+        _, text = run_cli(*self.ARGS)
+        assert "uncached:" not in text
+        assert "speedup:" not in text
+
+
 class TestPlanGroupCommand:
     ARGS = ("plan-group", "--seed", "7", "--sessions", "40", "--classes", "8")
 

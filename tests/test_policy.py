@@ -334,8 +334,14 @@ class TestPolicyAwarePlanner:
                                   tier="hw"),),
             )
         )
-        plan, _hit, decision = planner.plan_with_policy_info(_request())
+        plan, hit, decision = planner.plan_with_policy_info(_request())
         assert decision.kind == "force_tier"
+        assert hit is False
+        # The tier view plans on the planner's own cache and counters.
+        assert planner.cache.stats.misses == 1
+        again, hit2, _decision = planner.plan_with_policy_info(_request())
+        assert hit2 is True and again is plan
+        assert planner.cache.stats.hits == 1
         intermediaries = [
             sid for sid in plan.result.path
             if sid not in ("sender", "receiver")

@@ -198,6 +198,35 @@ class TestPolicyPlanPaths:
                     continue
                 assert SCENARIO.catalog.get(service_id).tier == "hw"
 
+    def test_force_tier_lookups_are_metered_on_the_plan_cache(self):
+        async def scenario(gateway):
+            body = {"device": profile_to_dict(PINNED), "deadline_ms": 2000}
+            answers = [
+                await request(gateway.port, "POST", "/plan", body)
+                for _ in range(3)
+            ]
+            answers.append(await request(gateway.port, "POST", "/plan", {}))
+            metrics = await request(gateway.port, "GET", "/metrics")
+            return answers, metrics
+
+        answers, metrics = run_against_gateway(scenario)
+        assert [status for status, _ in answers] == [200] * 4
+        assert [payload["cache_hit"] for _, payload in answers] == [
+            False, True, True, False,
+        ]
+        document = metrics[1]["metrics"]
+        counters, cache = document["counters"], document["cache"]
+        assert counters["policy_tier_forced"] == 3
+        # Every selector-path request probes the one plan cache once,
+        # tier-forced ones included.
+        probes = (
+            counters["planned"] + counters["unplannable"]
+            + counters["timeouts"]
+        )
+        assert probes == 4
+        assert cache["hits"] + cache["misses"] == probes
+        assert (cache["hits"], cache["misses"]) == (2, 2)
+
     def test_unmatched_device_takes_the_selector_path(self):
         async def scenario(gateway):
             return await request(gateway.port, "POST", "/plan", {})

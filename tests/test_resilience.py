@@ -177,6 +177,39 @@ class TestQuarantine:
         assert metrics["metrics"]["counters"]["breaker_opens"] == 1
         assert metrics["metrics"]["counters"]["quarantine_rebuilds"] >= 1
 
+    def test_overlay_lookups_are_metered_on_the_plan_cache(self):
+        async def scenario(gateway):
+            _, baseline = await request(gateway.port, "POST", "/plan", {})
+            victim = next(
+                sid
+                for sid in baseline["path"]
+                if sid not in ("sender", "receiver")
+            )
+            await report(gateway.port, failures(victim))
+            replanned = [
+                (await request(gateway.port, "POST", "/plan", {}))[1]
+                for _ in range(2)
+            ]
+            metrics = (await request(gateway.port, "GET", "/metrics"))[1]
+            return victim, replanned, metrics
+
+        victim, replanned, metrics = run_against_gateway(scenario)
+        assert [plan["status"] for plan in replanned] == ["ok", "ok"]
+        assert all(victim not in plan["path"] for plan in replanned)
+        assert [plan["cache_hit"] for plan in replanned] == [False, True]
+        counters = metrics["metrics"]["counters"]
+        cache = metrics["metrics"]["cache"]
+        assert counters["breaker_opens"] == 1
+        # The overlay plans on the base cache: one probe per selector
+        # request, before and after the breaker trip.
+        probes = (
+            counters["planned"] + counters["unplannable"]
+            + counters["timeouts"]
+        )
+        assert probes == 3
+        assert cache["hits"] + cache["misses"] == probes
+        assert (cache["hits"], cache["misses"]) == (1, 2)
+
     def test_quarantining_everything_degrades_not_500s(self):
         async def scenario(gateway):
             outcomes = []
