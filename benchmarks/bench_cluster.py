@@ -36,7 +36,8 @@ from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
 from conftest import format_table
 
-REQUESTS = int(os.environ.get("CLUSTER_BENCH_REQUESTS", "1200"))
+DEFAULT_REQUESTS = 1200
+REQUESTS = int(os.environ.get("CLUSTER_BENCH_REQUESTS", DEFAULT_REQUESTS))
 DEADLINE_MS = 250.0
 SEED = 0
 DISTINCT = 16
@@ -227,4 +228,5 @@ def test_cluster_scaling_and_affinity_determinism(benchmark, save_artifact):
         f"E20 — {WORKERS}-worker cluster vs single process "
         f"(deadline {DEADLINE_MS:.0f} ms, seed {SEED})\n\n"
         + format_table(["metric", "value"], rows),
+        smoke=REQUESTS < DEFAULT_REQUESTS,
     )

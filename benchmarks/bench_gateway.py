@@ -33,7 +33,8 @@ from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
 from conftest import format_table
 
-REQUESTS = int(os.environ.get("GATEWAY_BENCH_REQUESTS", "1500"))
+DEFAULT_REQUESTS = 1500
+REQUESTS = int(os.environ.get("GATEWAY_BENCH_REQUESTS", DEFAULT_REQUESTS))
 RATE_PER_S = float(os.environ.get("GATEWAY_BENCH_RATE", "500"))
 DEADLINE_MS = 250.0
 SEED = 0
@@ -141,4 +142,5 @@ def test_gateway_sustained_and_overload(benchmark, save_artifact):
         "gateway.txt",
         f"E19 — planning gateway under load (deadline {DEADLINE_MS:.0f} ms, "
         f"seed {SEED})\n\n" + format_table(["metric", "value"], rows),
+        smoke=REQUESTS < DEFAULT_REQUESTS,
     )

@@ -28,7 +28,8 @@ from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
 from conftest import format_table
 
-N_SESSIONS = int(os.environ.get("GROUP_BENCH_SESSIONS", "1000"))
+DEFAULT_SESSIONS = 1000
+N_SESSIONS = int(os.environ.get("GROUP_BENCH_SESSIONS", DEFAULT_SESSIONS))
 N_CLASSES = min(32, N_SESSIONS)
 MAX_SLOPE_RATIO = 0.5
 
@@ -169,6 +170,7 @@ def test_group_planner_sublinear(benchmark, save_artifact):
              "slope (kbps/session)", "time (ms)"],
             rows,
         ),
+        smoke=N_SESSIONS < DEFAULT_SESSIONS,
     )
 
     # Every class the baseline can serve gets a branch at the exact same
@@ -215,4 +217,5 @@ def test_group_digest_deterministic(save_artifact):
         "group_planner_digest.txt",
         f"E22 — same-seed tree digest ({N_SESSIONS} sessions, "
         f"{N_CLASSES} classes)\n{digests[0]}\n",
+        smoke=N_SESSIONS < DEFAULT_SESSIONS,
     )

@@ -41,7 +41,8 @@ from repro.serve.protocol import encode_payload
 from repro.sim import percentile
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
-REQUESTS = int(os.environ.get("RESILIENT_BENCH_REQUESTS", "400"))
+DEFAULT_REQUESTS = 400
+REQUESTS = int(os.environ.get("RESILIENT_BENCH_REQUESTS", DEFAULT_REQUESTS))
 SEED = 7
 DEADLINE_MS = 250.0
 FAILURE_RATE = 0.8
@@ -352,4 +353,5 @@ def test_breaker_restores_success_under_gray_failure(benchmark, save_artifact):
         f"E21 — gray-failure storm: breaker-enabled gateway vs unprotected "
         f"baseline (deadline {DEADLINE_MS:.0f} ms, seed {SEED})\n\n"
         + format_table(["metric", "value"], rows),
+        smoke=REQUESTS < DEFAULT_REQUESTS,
     )

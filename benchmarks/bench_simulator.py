@@ -32,7 +32,8 @@ from repro.sim.scenarios import _backbone_services, _base, _primary_route
 
 from conftest import format_table
 
-ORGANIC_SESSIONS = int(os.environ.get("SIM_BENCH_SESSIONS", "900"))
+DEFAULT_SESSIONS = 900
+ORGANIC_SESSIONS = int(os.environ.get("SIM_BENCH_SESSIONS", DEFAULT_SESSIONS))
 BURST_SESSIONS = max(10, ORGANIC_SESSIONS // 9)
 ARRIVAL_WINDOW_S = max(60.0, ORGANIC_SESSIONS * (600.0 / 900.0))
 SEED = 7
@@ -100,6 +101,7 @@ def test_simulator_throughput_and_determinism(benchmark, save_artifact):
         "simulator.txt",
         f"E26 — discrete-event simulator ({total} sessions, fault storm, "
         f"seed {SEED})\n\n" + format_table(["metric", "value"], rows),
+        smoke=ORGANIC_SESSIONS < DEFAULT_SESSIONS,
     )
 
     # The campaign must actually exercise the machinery end to end.

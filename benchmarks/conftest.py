@@ -25,13 +25,20 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 @pytest.fixture(scope="session")
 def save_artifact():
-    """Persist a regenerated table/series and echo it to stdout."""
+    """Persist a regenerated table/series and echo it to stdout.
+
+    A bench run below its default scale passes ``smoke=True`` and writes
+    ``<name>-smoke.txt`` (gitignored), so a reduced run never overwrites
+    the committed headline artifact.
+    """
     RESULTS_DIR.mkdir(exist_ok=True)
 
-    def _save(name: str, text: str) -> pathlib.Path:
+    def _save(name: str, text: str, smoke: bool = False) -> pathlib.Path:
         path = RESULTS_DIR / name
+        if smoke:
+            path = path.with_name(f"{path.stem}-smoke{path.suffix}")
         path.write_text(text + "\n")
-        print(f"\n===== {name} =====")
+        print(f"\n===== {path.name} =====")
         print(text)
         return path
 

@@ -296,13 +296,7 @@ class ConfigurationOptimizer:
         the stream does not have.  With no judgeable dimension at all the
         satisfaction is 0.
         """
-        values = []
-        for name in self._satisfaction.parameter_names():
-            if name in configuration:
-                values.append(self._satisfaction.individual(name, configuration[name]))
-        if not values:
-            return 0.0
-        return self._satisfaction.combiner(values)
+        return self._satisfaction.evaluate_present(configuration)
 
     # ------------------------------------------------------------------
     # Memo fingerprints

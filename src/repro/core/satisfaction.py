@@ -487,3 +487,17 @@ class CombinedSatisfaction:
                 raise UnknownParameterError(name)
             satisfactions.append(fn(values[name]))
         return self.combiner(satisfactions)
+
+    def evaluate_present(self, values: Mapping[str, float]) -> float:
+        """Total satisfaction over the parameters ``values`` carries.
+
+        Preferences for parameters absent from ``values`` are skipped —
+        the user cannot judge a dimension the stream does not have.  With
+        no judgeable dimension at all the satisfaction is 0.
+        """
+        satisfactions = [
+            fn(values[name])
+            for name, fn in self.functions.items()
+            if name in values
+        ]
+        return self.combiner(satisfactions) if satisfactions else 0.0

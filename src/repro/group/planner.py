@@ -188,12 +188,10 @@ class GroupPlanner:
     ) -> Tuple[GroupPlan, bool]:
         """Like :meth:`plan`, also reporting whether the tree was cached."""
         self._tree_cache.purge_stale(self._batch.current_stamp())
-        fingerprint = self.fingerprint(request)
-        hit = fingerprint in self._tree_cache
-        plan = self._tree_cache.get_or_compute(
-            fingerprint, lambda: self._build(request, use_cache=True)
+        return self._tree_cache.get_or_compute(
+            self.fingerprint(request),
+            lambda: self._build(request, use_cache=True),
         )
-        return plan, hit
 
     # ------------------------------------------------------------------
     # Reservation

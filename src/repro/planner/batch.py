@@ -7,7 +7,8 @@ pairs the two:
 
 - :meth:`BatchPlanner.plan` fingerprints one request against the current
   infrastructure generations and serves it from the cache (single-flight
-  on misses);
+  on misses); a miss runs :func:`repro.runtime.session.plan_request` with
+  the planner's shared graph builder and ``Optimize()`` memo;
 - :meth:`BatchPlanner.plan_batch` fans a whole arrival batch out over a
   :class:`~concurrent.futures.ThreadPoolExecutor`, preserving input order
   in the returned plans.
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
 )
@@ -43,11 +43,7 @@ from repro.planner.fingerprint import (
     PlanFingerprint,
     fingerprint_request,
 )
-from repro.profiles.content import ContentProfile
-from repro.profiles.context import ContextProfile
-from repro.profiles.device import DeviceProfile
-from repro.profiles.user import UserProfile
-from repro.runtime.session import AdaptationSession, SessionPlan
+from repro.runtime.session import PlanRequest, SessionPlan, plan_request
 from repro.services.catalog import ServiceCatalog
 from repro.services.descriptor import ServiceDescriptor
 
@@ -55,19 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.workloads.scenario import Scenario
 
 __all__ = ["PlanRequest", "BatchPlanner"]
-
-
-@dataclass(frozen=True)
-class PlanRequest:
-    """One session to plan: profiles plus endpoints."""
-
-    content: ContentProfile
-    device: DeviceProfile
-    user: UserProfile
-    sender_node: str
-    receiver_node: str
-    context: Optional[ContextProfile] = None
-    peer: Optional[str] = None
 
 
 class BatchPlanner:
@@ -213,32 +196,26 @@ class BatchPlanner:
         batch-planner bench measures against, so it must pay full planning
         cost every time.
         """
-        return self._plan_fresh(request, optimize_memo=None, graph_builder=None)
+        return self._plan_fresh(
+            request, AdaptationGraphBuilder(self._catalog, self._placement), None
+        )
 
     def _plan_fresh(
         self,
         request: PlanRequest,
+        builder: AdaptationGraphBuilder,
         optimize_memo: Optional[OptimizeMemo],
-        graph_builder: Optional[AdaptationGraphBuilder],
     ) -> SessionPlan:
-        session = AdaptationSession(
-            registry=self._registry,
-            parameters=self._parameters,
-            catalog=self._catalog,
-            placement=self._placement,
-            content=request.content,
-            device=request.device,
-            user=request.user,
-            sender_node=request.sender_node,
-            receiver_node=request.receiver_node,
-            context=request.context,
+        return plan_request(
+            request,
+            builder,
+            self._registry,
+            self._parameters,
             tie_break=self._tie_break,
             prune=self._prune,
             record_trace=self._record_trace,
             optimize_memo=optimize_memo,
-            graph_builder=graph_builder,
         )
-        return session.plan(peer=request.peer)
 
     def plan(self, request: PlanRequest) -> Union[SessionPlan, PolicyPlan]:
         """Plan one session through the policy pass and the cache.
@@ -250,20 +227,6 @@ class BatchPlanner:
         """
         plan, _hit, _decision = self.plan_with_policy_info(request)
         return plan
-
-    def plan_with_cache_info(
-        self, request: PlanRequest
-    ) -> Tuple[Union[SessionPlan, PolicyPlan], bool]:
-        """Like :meth:`plan`, also reporting whether the cache already held it.
-
-        The serving gateway surfaces the hit flag per response; the
-        membership probe and the compute run under the cache's own lock
-        discipline, so the flag can only be pessimistic (a concurrent
-        leader may insert between probe and lookup), never wrong about a
-        genuine hit.
-        """
-        plan, hit, _decision = self.plan_with_policy_info(request)
-        return plan, hit
 
     def plan_with_policy_info(
         self, request: PlanRequest
@@ -294,18 +257,18 @@ class BatchPlanner:
         return plan, hit, None
 
     def _selector_plan(self, request: PlanRequest) -> Tuple[SessionPlan, bool]:
-        """The raw selector path: fingerprint, cache probe, compute."""
-        fingerprint = self.fingerprint(request)
-        hit = fingerprint in self._cache
-        plan = self._cache.get_or_compute(
-            fingerprint,
+        """The raw selector path: fingerprint, then one cache lookup.
+
+        The hit flag comes from that lookup, so a single-flight follower
+        that waited on another thread's computation reports a hit, as
+        the cache's ``hits`` counter does.
+        """
+        return self._cache.get_or_compute(
+            self.fingerprint(request),
             lambda: self._plan_fresh(
-                request,
-                optimize_memo=self._optimize_memo,
-                graph_builder=self._graph_builder,
+                request, self._graph_builder, self._optimize_memo
             ),
         )
-        return plan, hit
 
     def _tier_planner(self, tier: str) -> "BatchPlanner":
         """The view that keeps only ``tier`` transcoders.

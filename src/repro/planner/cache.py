@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ValidationError
 from repro.planner.fingerprint import GenerationStamp, PlanFingerprint
@@ -98,21 +98,24 @@ class PlanCache:
         self,
         fingerprint: PlanFingerprint,
         compute: Callable[[], Any],
-    ) -> Any:
-        """Return the cached plan, computing it at most once per miss.
+    ) -> Tuple[Any, bool]:
+        """``(plan, hit)``: the cached plan, computed at most once per miss.
 
         Concurrent callers with the same fingerprint coalesce: one leader
         runs ``compute()`` while followers wait and then read the inserted
-        entry.  A leader failure releases the followers, and the first of
-        them retries as the new leader (the exception propagates only to
-        the leader that hit it).
+        entry.  ``hit`` is ``False`` only for the caller whose
+        ``compute()`` produced the plan; a follower reads the entry the
+        leader inserted, so it reports a hit and counts as one.  A leader
+        failure releases the followers, and the first of them retries as
+        the new leader (the exception propagates only to the leader that
+        hit it).
         """
         while True:
             with self._lock:
                 if fingerprint in self._entries:
                     self._entries.move_to_end(fingerprint)
                     self._hits += 1
-                    return self._entries[fingerprint]
+                    return self._entries[fingerprint], True
                 event = self._inflight.get(fingerprint)
                 if event is None:
                     event = threading.Event()
@@ -137,7 +140,7 @@ class PlanCache:
                 del self._inflight[fingerprint]
                 self._evict_overflow()
             event.set()
-            return plan
+            return plan, False
 
     # ------------------------------------------------------------------
     # Invalidation

@@ -140,7 +140,6 @@ def fingerprint_request(
     receiver_node: str,
     catalog: ServiceCatalog,
     placement: ServicePlacement,
-    topology: Optional[NetworkTopology] = None,
     context: Optional[ContextProfile] = None,
     ledger: Optional[BandwidthLedger] = None,
     peer: Optional[str] = None,
@@ -150,13 +149,12 @@ def fingerprint_request(
 ) -> PlanFingerprint:
     """Fingerprint one planning request against the current world state.
 
-    ``topology`` defaults to ``placement.topology``.  Pass the ``ledger``
+    The topology keyed is ``placement.topology``.  Pass the ``ledger``
     whenever planning runs against residual capacity (admission control):
     its generation then participates in the key, so any reserve / release
     forces a recompute.
     """
-    if topology is None:
-        topology = placement.topology
+    topology = placement.topology
     stamp = GenerationStamp(
         catalog=catalog.generation,
         topology=topology.generation,

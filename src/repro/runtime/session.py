@@ -1,24 +1,33 @@
-"""Adaptation sessions: the whole framework in one call.
+"""Adaptation sessions and the one planning pipeline.
 
-An :class:`AdaptationSession` wires the paper's full pipeline together:
+:func:`plan_request` is the paper's planning pipeline for one request,
+and the only code that runs it:
 
-1. take the six profiles (user, content, context, device, network — via
-   the topology — and the intermediaries — via catalog + placement);
-2. construct the adaptation graph (Section 4.2);
-3. prune it (Section 4's optimization pass);
-4. run the QoS path-selection algorithm (Section 4.4);
-5. optionally stream the selected chain and report delivery metrics.
+1. construct the adaptation graph (Section 4.2) from the request's
+   content, device and optional context profiles and the intermediaries
+   the builder holds (catalog + placement, over the topology);
+2. prune it (Section 4's optimization pass);
+3. run the QoS path-selection algorithm (Section 4.4) for the user.
 
-This is the class downstream users touch first; the examples are built on
-it.
+Callers differ only in what they share across plans.
+:meth:`AdaptationSession.plan` passes a fresh graph builder and no
+``Optimize()`` memo; :class:`~repro.planner.batch.BatchPlanner` passes
+its shared builder and memo on a plan-cache miss, and a fresh builder
+with no memo for its from-scratch baseline.
+
+An :class:`AdaptationSession` is one user's session over one world: it
+plans through :func:`plan_request`, then optionally streams the selected
+chain and reports delivery metrics.  This is the class downstream users
+touch first; the examples are built on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.core.graph import AdaptationGraph, AdaptationGraphBuilder
+from repro.core.optimizer import OptimizeMemo
 from repro.core.parameters import ParameterSet
 from repro.core.pruning import GraphPruner, PruningReport
 from repro.core.selection import (
@@ -41,7 +50,20 @@ from repro.runtime.pipeline import DeliveryPipeline
 from repro.services.catalog import ServiceCatalog
 from repro.services.chains import AdaptationChain
 
-__all__ = ["SessionPlan", "AdaptationSession"]
+__all__ = ["PlanRequest", "SessionPlan", "plan_request", "AdaptationSession"]
+
+
+@dataclass(frozen=True)
+class PlanRequest:
+    """One session to plan: profiles plus endpoints."""
+
+    content: ContentProfile
+    device: DeviceProfile
+    user: UserProfile
+    sender_node: str
+    receiver_node: str
+    context: Optional[ContextProfile] = None
+    peer: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -59,6 +81,52 @@ class SessionPlan:
     def chain(self) -> AdaptationChain:
         """The selected chain as an executable object (success only)."""
         return build_chain(self.graph, self.result)
+
+
+def plan_request(
+    request: PlanRequest,
+    builder: AdaptationGraphBuilder,
+    registry: FormatRegistry,
+    parameters: ParameterSet,
+    tie_break: TieBreakPolicy,
+    prune: bool,
+    record_trace: bool,
+    optimize_memo: Optional[OptimizeMemo] = None,
+) -> SessionPlan:
+    """Plan one request: build the graph, prune it, select a path.
+
+    ``builder`` holds the catalog and placement the graph is built over;
+    ``optimize_memo`` (optional) shares solved ``Optimize()`` relaxations
+    with other plans over the same infrastructure.
+    """
+    context = request.context
+    graph = builder.build(
+        content=request.content,
+        device=request.device,
+        sender_node=request.sender_node,
+        receiver_node=request.receiver_node,
+        context_caps=context.parameter_caps() if context is not None else None,
+    )
+    if prune:
+        graph, report = GraphPruner().prune(graph)
+    else:
+        report = PruningReport(
+            vertices_before=len(graph),
+            vertices_after=len(graph),
+            edges_before=graph.edge_count(),
+            edges_after=graph.edge_count(),
+        )
+    result = QoSPathSelector.for_user(
+        graph=graph,
+        registry=registry,
+        parameters=parameters,
+        user=request.user,
+        peer=request.peer,
+        tie_break=tie_break,
+        record_trace=record_trace,
+        optimize_memo=optimize_memo,
+    ).run()
+    return SessionPlan(graph=graph, pruning=report, result=result)
 
 
 class AdaptationSession:
@@ -79,101 +147,37 @@ class AdaptationSession:
         tie_break: TieBreakPolicy = TieBreakPolicy.PAPER,
         prune: bool = True,
         record_trace: bool = True,
-        optimize_memo=None,
-        graph_builder: Optional[AdaptationGraphBuilder] = None,
     ) -> None:
         self._registry = registry
         self._parameters = parameters
         self._catalog = catalog
         self._placement = placement
-        self._content = content
-        self._device = device
-        self._user = user
-        self._context = context
-        self._sender_node = sender_node
-        self._receiver_node = receiver_node
+        self._request = PlanRequest(
+            content=content,
+            device=device,
+            user=user,
+            sender_node=sender_node,
+            receiver_node=receiver_node,
+            context=context,
+        )
         self._tie_break = tie_break
         self._prune = prune
         self._record_trace = record_trace
-        #: Optional shared :class:`~repro.core.optimizer.OptimizeMemo`;
-        #: lets a batch planner reuse solved relaxations across sessions.
-        self._optimize_memo = optimize_memo
-        #: Optional shared builder over this catalog and placement; lets a
-        #: batch planner reuse the graph skeleton across sessions.
-        self._graph_builder = graph_builder
 
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def plan(
-        self,
-        peer: Optional[str] = None,
-        cache=None,
-        ledger=None,
-    ) -> SessionPlan:
-        """Run graph construction, pruning, and path selection.
-
-        Pass a :class:`~repro.planner.cache.PlanCache` to memoize the
-        plan under its canonical fingerprint; repeated calls with the
-        same profiles against an unchanged catalog / topology /
-        placement (and ledger, when given) return the cached plan.
-        """
-        if cache is None:
-            return self._plan_fresh(peer)
-        # Imported lazily: repro.planner.batch imports this module.
-        from repro.planner.fingerprint import fingerprint_request
-
-        fingerprint = fingerprint_request(
-            user=self._user,
-            content=self._content,
-            device=self._device,
-            sender_node=self._sender_node,
-            receiver_node=self._receiver_node,
-            catalog=self._catalog,
-            placement=self._placement,
-            context=self._context,
-            ledger=ledger,
-            peer=peer,
+    def plan(self, peer: Optional[str] = None) -> SessionPlan:
+        """Run graph construction, pruning, and path selection."""
+        return plan_request(
+            replace(self._request, peer=peer),
+            AdaptationGraphBuilder(self._catalog, self._placement),
+            self._registry,
+            self._parameters,
             tie_break=self._tie_break,
             prune=self._prune,
             record_trace=self._record_trace,
         )
-        return cache.get_or_compute(fingerprint, lambda: self._plan_fresh(peer))
-
-    def _plan_fresh(self, peer: Optional[str] = None) -> SessionPlan:
-        builder = self._graph_builder or AdaptationGraphBuilder(
-            self._catalog, self._placement
-        )
-        graph = builder.build(
-            content=self._content,
-            device=self._device,
-            sender_node=self._sender_node,
-            receiver_node=self._receiver_node,
-            context_caps=(
-                self._context.parameter_caps() if self._context is not None else None
-            ),
-        )
-        if self._prune:
-            graph, report = GraphPruner().prune(graph)
-        else:
-            report = PruningReport(
-                vertices_before=len(graph),
-                vertices_after=len(graph),
-                edges_before=graph.edge_count(),
-                edges_after=graph.edge_count(),
-            )
-        selector = QoSPathSelector.for_user(
-            graph=graph,
-            registry=self._registry,
-            parameters=self._parameters,
-            user=self._user,
-            peer=peer,
-            tie_break=self._tie_break,
-            record_trace=self._record_trace,
-            optimize_memo=self._optimize_memo,
-        )
-        result = selector.run()
-        return SessionPlan(graph=graph, pruning=report, result=result)
 
     # ------------------------------------------------------------------
     # Delivery
@@ -193,9 +197,9 @@ class AdaptationSession:
         # Endpoints participate in routing, so they need host assignments.
         placement = self._placement
         if not placement.is_placed(plan.graph.sender_id):
-            placement.place(plan.graph.sender_id, self._sender_node)
+            placement.place(plan.graph.sender_id, self._request.sender_node)
         if not placement.is_placed(plan.graph.receiver_id):
-            placement.place(plan.graph.receiver_id, self._receiver_node)
+            placement.place(plan.graph.receiver_id, self._request.receiver_node)
         estimator = BandwidthEstimator(placement.topology, fluctuation)
         pipeline = DeliveryPipeline(
             placement=placement,
@@ -203,22 +207,13 @@ class AdaptationSession:
             estimator=estimator,
             seed=seed,
         )
-        satisfaction = self._user.satisfaction()
         configuration = plan.result.configuration
         if configuration is None:
             raise NoPathError("plan carries no delivered configuration")
-
-        def satisfaction_of(config) -> float:
-            values = []
-            for name in satisfaction.parameter_names():
-                if name in config:
-                    values.append(satisfaction.individual(name, config[name]))
-            return satisfaction.combiner(values) if values else 0.0
-
         return pipeline.stream(
             chain=chain,
             configuration=configuration,
-            satisfaction_of=satisfaction_of,
+            satisfaction_of=self._request.user.satisfaction().evaluate_present,
             duration_s=duration_s,
             events=events,
         )

@@ -235,15 +235,7 @@ class SimSession:
             config = self._config.with_value(
                 FRAME_RATE, self._planned_fps * fraction
             )
-        return self._satisfaction_of(config)
-
-    def _satisfaction_of(self, config: Configuration) -> float:
-        values = [
-            self._satisfaction.individual(name, config[name])
-            for name in self._satisfaction.parameter_names()
-            if name in config
-        ]
-        return self._satisfaction.combiner(values) if values else 0.0
+        return self._satisfaction.evaluate_present(config)
 
     def _integrate(self, observed: float, interval: float) -> None:
         if interval <= 0:

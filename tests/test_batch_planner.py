@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import io
+import threading
 
 from repro.cli import main
+from repro.core.graph import AdaptationGraphBuilder
 from repro.network.reservations import BandwidthLedger
 from repro.planner import BatchPlanner, PlanCache, synthetic_requests
 from repro.runtime.metrics import PlannerReport
@@ -118,6 +120,61 @@ def test_plan_uncached_bypasses_optimize_memo():
     assert planner.optimize_memo.stats.lookups == 0
 
 
+def test_single_flight_follower_reports_a_hit(monkeypatch):
+    scenario = _scenario()
+    cache = PlanCache()
+    planner = BatchPlanner.for_scenario(scenario, cache=cache)
+    (request,) = synthetic_requests(scenario, 1, 1)
+    fingerprint = planner.fingerprint(request)
+
+    # The leader's graph build blocks until released, so the follower
+    # arrives while the plan is in flight.
+    building, release = threading.Event(), threading.Event()
+    real_build = AdaptationGraphBuilder.build
+
+    def blocking_build(self, *args, **kwargs):
+        building.set()
+        release.wait(timeout=30)
+        return real_build(self, *args, **kwargs)
+
+    monkeypatch.setattr(AdaptationGraphBuilder, "build", blocking_build)
+
+    class ParkedEvent:
+        """Wraps the leader's in-flight event; notes when a caller waits."""
+
+        def __init__(self, inner):
+            self.inner = inner
+            self.parked = threading.Event()
+
+        def wait(self):
+            self.parked.set()
+            return self.inner.wait()
+
+    outcomes = {}
+
+    def run(role):
+        plan, hit, _decision = planner.plan_with_policy_info(request)
+        outcomes[role] = (plan, hit)
+
+    leader = threading.Thread(target=run, args=("leader",), daemon=True)
+    leader.start()
+    assert building.wait(timeout=30)
+    parked = ParkedEvent(cache._inflight[fingerprint])
+    cache._inflight[fingerprint] = parked
+    follower = threading.Thread(target=run, args=("follower",), daemon=True)
+    follower.start()
+    assert parked.parked.wait(timeout=30)
+    release.set()
+    leader.join(timeout=30)
+    follower.join(timeout=30)
+
+    leader_plan, leader_hit = outcomes["leader"]
+    follower_plan, follower_hit = outcomes["follower"]
+    assert (leader_hit, follower_hit) == (False, True)
+    assert follower_plan is leader_plan
+    assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+
+
 def test_memoized_batch_equals_uncached_batch():
     scenario = _scenario()
     requests = synthetic_requests(scenario, 12, 6)
@@ -131,19 +188,6 @@ def test_memoized_batch_equals_uncached_batch():
 # ----------------------------------------------------------------------
 # Runtime wiring
 # ----------------------------------------------------------------------
-
-
-def test_session_plan_accepts_cache(small_synthetic):
-    cache = PlanCache()
-    session = small_synthetic.session()
-    first = session.plan(cache=cache)
-    second = session.plan(cache=cache)
-    assert second is first
-    assert cache.stats.hits == 1
-    assert cache.stats.misses == 1
-    # Without a cache the session still plans the same result.
-    fresh = session.plan()
-    assert fresh.result == first.result
 
 
 def test_admission_controller_reuses_plans_until_reservation():

@@ -57,8 +57,8 @@ def test_get_or_compute_computes_once():
         return "plan"
 
     fp = _fp("a")
-    assert cache.get_or_compute(fp, compute) == "plan"
-    assert cache.get_or_compute(fp, compute) == "plan"
+    assert cache.get_or_compute(fp, compute) == ("plan", False)
+    assert cache.get_or_compute(fp, compute) == ("plan", True)
     assert len(calls) == 1
     stats = cache.stats
     assert stats.misses == 1
@@ -76,7 +76,7 @@ def test_get_or_compute_propagates_and_recovers_from_failure():
         cache.get_or_compute(fp, boom)
     # A failed computation leaves no entry and no stuck in-flight marker.
     assert fp not in cache
-    assert cache.get_or_compute(fp, lambda: "recovered") == "recovered"
+    assert cache.get_or_compute(fp, lambda: "recovered") == ("recovered", False)
 
 
 def test_purge_stale_drops_only_old_generations():

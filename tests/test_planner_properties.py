@@ -96,7 +96,14 @@ def test_cached_plan_equals_fresh_plan(seed):
     request = _request(scenario)
     cached = planner.plan(request)
     fresh = planner.plan_uncached(request)
-    assert _plan_fields(cached) == _plan_fields(fresh)
+    session = scenario.session().plan()
+    assert _plan_fields(cached) == _plan_fields(fresh) == _plan_fields(session)
+    assert (
+        cached.graph.vertex_ids()
+        == fresh.graph.vertex_ids()
+        == session.graph.vertex_ids()
+    )
+    assert cached.pruning == fresh.pruning == session.pruning
 
 
 @given(
